@@ -8,7 +8,8 @@ interchangeable encodings of a report:
   readability matters.
 * **Binary** — a compact fixed-record format (`struct`-packed) for the
   data channel: magic + version + NMP name + record count, then one
-  ``(flow: u32, packet_id: u64, hash: f64)`` record per sample.
+  ``(flow: u32, packet_id: u64, hash: f64)`` record per sample.  A
+  hash must be finite: NaN or ±inf is refused on encode and on decode.
 
 Both round-trip exactly (hash values are IEEE doubles end to end, so
 merged results are bit-identical to in-process merging) and validate
@@ -19,8 +20,10 @@ from a misbehaving switch.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError, WireFormatError
@@ -34,6 +37,9 @@ _VERSION = 1
 _HEADER = struct.Struct("!4sBH")  # magic, version, name length
 _COUNT = struct.Struct("!I")
 _RECORD = struct.Struct("!IQd")
+
+#: The hash field of an unpacked ``_RECORD`` tuple.
+_HASH_OF = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,11 @@ def to_bytes(report: Report) -> bytes:
             raise ConfigurationError(
                 f"unencodable record value {value!r}: {exc}"
             ) from exc
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"non-finite record hash {value!r}: flow={flow}, "
+                f"packet_id={pid}"
+            )
     return b"".join(parts)
 
 
@@ -162,7 +173,8 @@ def from_bytes(data: bytes) -> Report:
     """Decode and validate a binary report.
 
     Malformed input — bad magic, adversarial length prefixes, records
-    that stop mid-stream, an undecodable name — raises
+    that stop mid-stream, an undecodable name, a NaN or infinite
+    hash — raises
     :class:`WireFormatError`; decoding never reads past ``len(data)``
     and never allocates proportionally to an unvalidated length field.
     """
@@ -185,16 +197,19 @@ def from_bytes(data: bytes) -> Report:
     offset += 8
     (count,) = _COUNT.unpack_from(data, offset)
     offset += _COUNT.size
-    if offset + count * _RECORD.size > len(data):
+    end = offset + count * _RECORD.size
+    if end > len(data):
         raise WireFormatError("truncated report records")
-    entries: List[ReportEntry] = []
-    for _ in range(count):
-        flow, pid, value = _RECORD.unpack_from(data, offset)
-        offset += _RECORD.size
-        entries.append(((flow, pid), value))
+    records = list(_RECORD.iter_unpack(memoryview(data)[offset:end]))
+    if not all(map(math.isfinite, map(_HASH_OF, records))):
+        bad = next(r for r in records if not math.isfinite(r[2]))
+        raise WireFormatError(
+            f"non-finite record hash {bad[2]!r}: flow={bad[0]}, "
+            f"packet_id={bad[1]}"
+        )
+    entries = tuple([((flow, pid), value) for flow, pid, value in records])
     try:
-        return Report(nmp_name=name, observed=observed,
-                      entries=tuple(entries))
+        return Report(nmp_name=name, observed=observed, entries=entries)
     except ConfigurationError as exc:
         # Bit-flipped records can decode into an invalid Report (e.g.
         # hashes out of ascending order); that's still wire garbage.

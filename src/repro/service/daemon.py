@@ -91,6 +91,7 @@ class MeasurementDaemon:
         self.fleet_heartbeats = 0
         self.fleet_errors = 0
         self._fleet_task: Optional[asyncio.Task] = None
+        self._fleet_stopping = False
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -254,11 +255,17 @@ class MeasurementDaemon:
         the registration the replayed state is already live.  A
         coordinator outage degrades to retry-with-backoff; the daemon
         keeps ingesting and serving its local RPC throughout.
+
+        The loop also ends when ``_fleet_stopping`` is set, not only
+        on cancellation: before Python 3.12, ``asyncio.wait_for`` inside
+        :func:`rpc_call_async` returns a reply that lands just as the
+        task is cancelled and swallows the cancellation.  So every RPC
+        is followed by the stop check before the agent awaits again.
         """
         host, port = self.config.fleet_address()
         interval = self.config.heartbeat_interval
         backoff = min(0.2, interval)
-        while True:
+        while not self._fleet_stopping:
             try:
                 if not self.registered:
                     ack = await rpc_call_async(
@@ -274,6 +281,7 @@ class MeasurementDaemon:
                         "registered with fleet %s:%d as %s (epoch %d)",
                         host, port, self.daemon_id, self.epoch,
                     )
+                    continue
                 await asyncio.sleep(interval)
                 await rpc_call_async(
                     host, port, "heartbeat",
@@ -292,6 +300,8 @@ class MeasurementDaemon:
                         host, port, exc,
                     )
                 self.registered = False
+                if self._fleet_stopping:
+                    return
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, 10.0)
 
@@ -299,6 +309,7 @@ class MeasurementDaemon:
         """Best-effort deregistration on graceful shutdown."""
         if self._fleet_task is None:
             return
+        self._fleet_stopping = True
         self._fleet_task.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await self._fleet_task
@@ -356,6 +367,7 @@ class MeasurementDaemon:
             return
         self._stopped = True
         _LOG.warning("kill: tearing down with no drain and no snapshot")
+        self._fleet_stopping = True
         if self._fleet_task is not None:
             self._fleet_task.cancel()  # no goodbye: the crash path
         if self._snapshot_task is not None:

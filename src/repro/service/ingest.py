@@ -15,7 +15,10 @@ Three pieces, all living on the daemon's event loop:
   ``loop.add_reader`` on a plain socket so that stalling is literal:
   the reader is removed, datagrams queue in the kernel receive buffer
   (sized generously) exactly as they would in a NIC ring, and reading
-  resumes when the feeder drains.
+  resumes when the feeder drains.  Each wake-up decodes every drained
+  datagram with the columnar
+  :func:`~repro.traffic.netflow.decode_src_octets` and makes one
+  ``put``.
 * :class:`ReportTcpSource` — length-prefixed binary
   :mod:`repro.netwide.wire` report frames.  Stalling is TCP flow
   control: the coroutine simply stops reading until there is room.
@@ -33,7 +36,14 @@ from repro.core.interface import QMaxBase
 from repro.errors import NetFlowDecodeError, WireFormatError
 from repro.netwide.wire import Report, from_bytes
 from repro.obs import SIZE_BUCKETS, resolve_registry
-from repro.traffic.netflow import FlowRecord, decode_packet
+# decode_packet is not called here; it stays bound in this module as the
+# record-level API beside the UDP path's columnar decoder, and
+# perfbench/traced.py wraps it by this name.
+from repro.traffic.netflow import (  # noqa: F401
+    FlowRecord,
+    decode_packet,
+    decode_src_octets,
+)
 from repro.types import ItemId, Value
 
 _LOG = logging.getLogger("repro.service.ingest")
@@ -74,12 +84,9 @@ def items_from_report(
 ) -> Tuple[List[ItemId], List[Value]]:
     """Wire report → (ids, vals): each sample keyed by its
     ``(flow, packet_id)`` record identity, valued by its hash."""
-    ids: List[ItemId] = []
-    vals: List[Value] = []
-    for (flow, pid), value in report.entries:
-        ids.append((flow, pid))
-        vals.append(float(value))
-    return ids, vals
+    entries = report.entries
+    return ([record for record, _value in entries],
+            [float(value) for _record, value in entries])
 
 
 class BatchFeeder:
@@ -291,27 +298,36 @@ class NetFlowUdpSource:
         return self._sock is not None and not self._reading
 
     def _on_readable(self) -> None:
+        """Drain the socket, then hand the feeder one coalesced batch.
+
+        Draining stops early once the batch would fill the feeder's
+        free room, so the buffer overshoots its capacity by less than
+        one datagram, as it would with one ``put`` per datagram.
+        """
+        ids: List[ItemId] = []
+        vals: List[Value] = []
+        room = self._feeder.capacity - self._feeder.pending
         for _ in range(_DRAIN_PER_WAKE):
             try:
-                data, _addr = self._sock.recvfrom(_MAX_DATAGRAM)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
+                data = self._sock.recv(_MAX_DATAGRAM)
+            except OSError:  # drained (BlockingIOError) or socket error
+                break
             self.datagrams += 1
             try:
-                records = decode_packet(data)
+                more_ids, more_vals = decode_src_octets(data)
             except NetFlowDecodeError:
                 # The one legitimate drop: garbage input, counted.
                 self.malformed += 1
                 continue
-            if not records:
-                continue
-            ids, vals = items_from_flow_records(records)
-            self.records += len(ids)
-            if not self._feeder.put(ids, vals):
-                self._pause()
-                return
+            ids += more_ids
+            vals += more_vals
+            if len(ids) >= room:
+                break
+        if not ids:
+            return
+        self.records += len(ids)
+        if not self._feeder.put(ids, vals):
+            self._pause()
 
     def _pause(self) -> None:
         if self._reading:

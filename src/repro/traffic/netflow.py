@@ -24,9 +24,12 @@ MAX_RECORDS_PER_PACKET = 30
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
+#: A record seen through only its two ranked fields: src_ip at offset
+#: 0 and octets at offset 20.
+_SRC_OCTETS = struct.Struct("!I16xI24x")
 
 assert _HEADER.size == 24
-assert _RECORD.size == 48
+assert _RECORD.size == _SRC_OCTETS.size == 48
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,12 @@ def encode_packets(
     return packets
 
 
-def decode_packet(data: bytes) -> List[FlowRecord]:
-    """Decode one v5 export packet into flow records.
+def _record_area(data: bytes) -> memoryview:
+    """Validate a v5 packet's header and return its record area.
 
-    Any malformation — truncated header, wrong version, a record count
-    exceeding the v5 maximum, or a record area shorter than the count
-    promises — raises :class:`NetFlowDecodeError` (never a bare
-    ``struct.error``), so a collector can count-and-drop garbage
-    datagrams instead of crashing.
+    The one validation path shared by :func:`decode_packet` and
+    :func:`decode_src_octets`.  The returned view holds exactly the
+    ``count`` records the header announces.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise NetFlowDecodeError(
@@ -126,11 +127,7 @@ def decode_packet(data: bytes) -> List[FlowRecord]:
             f"truncated NetFlow header: need {_HEADER.size} bytes, "
             f"got {len(data)}"
         )
-    try:
-        (version, count, _uptime, _secs, _nsecs, _seq, _etype, _eid,
-         _sampling) = _HEADER.unpack_from(data)
-    except struct.error as exc:  # pragma: no cover - length checked
-        raise NetFlowDecodeError(f"undecodable NetFlow header: {exc}") from exc
+    version, count = _HEADER.unpack_from(data)[:2]
     if version != VERSION:
         raise NetFlowDecodeError(
             f"unsupported NetFlow version {version}"
@@ -146,26 +143,43 @@ def decode_packet(data: bytes) -> List[FlowRecord]:
             f"truncated NetFlow packet: need {needed} bytes, "
             f"got {len(data)}"
         )
-    records = []
-    offset = _HEADER.size
-    for _ in range(count):
-        try:
-            (src, dst, _nh, _inif, _outif, pkts, octets, first, last,
-             sport, dport, _pad, _flags, proto, _tos, _sas, _das, _smask,
-             _dmask, _pad2) = _RECORD.unpack_from(data, offset)
-        except struct.error as exc:  # pragma: no cover - length checked
-            raise NetFlowDecodeError(
-                f"undecodable NetFlow record at offset {offset}: {exc}"
-            ) from exc
-        offset += _RECORD.size
-        records.append(
-            FlowRecord(
-                src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-                proto=proto, packets=pkts, octets=octets,
-                first_ms=first, last_ms=last,
-            )
+    return memoryview(data)[_HEADER.size:needed]
+
+
+def decode_packet(data: bytes) -> List[FlowRecord]:
+    """Decode one v5 export packet into flow records.
+
+    Any malformation — truncated header, wrong version, a record count
+    exceeding the v5 maximum, or a record area shorter than the count
+    promises — raises :class:`NetFlowDecodeError` (never a bare
+    ``struct.error``), so a collector can count-and-drop garbage
+    datagrams instead of crashing.
+    """
+    return [
+        FlowRecord(
+            src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
+            proto=proto, packets=pkts, octets=octets,
+            first_ms=first, last_ms=last,
         )
-    return records
+        for (src, dst, _nh, _inif, _outif, pkts, octets, first, last,
+             sport, dport, _pad, _flags, proto, _tos, _sas, _das, _smask,
+             _dmask, _pad2) in _RECORD.iter_unpack(_record_area(data))
+    ]
+
+
+def decode_src_octets(data: bytes) -> Tuple[List[int], List[float]]:
+    """Decode one v5 export packet straight into ``(ids, vals)``
+    columns: ``src_ip`` and ``float(octets)`` per record.
+
+    Equal to ``items_from_flow_records(decode_packet(data))`` and
+    rejecting exactly what :func:`decode_packet` rejects, but it
+    unpacks only the two ranked fields and builds no
+    :class:`FlowRecord` — whose range checks cannot fire on fields
+    read from fixed-width unsigned wire slots.  This is the daemon's
+    UDP hot path.
+    """
+    pairs = list(_SRC_OCTETS.iter_unpack(_record_area(data)))
+    return [p[0] for p in pairs], [float(p[1]) for p in pairs]
 
 
 def decode_stream(packets: Iterable[bytes]) -> List[FlowRecord]:

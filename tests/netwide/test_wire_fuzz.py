@@ -153,3 +153,39 @@ class TestEncodeValidation:
     def test_oversized_name(self):
         with pytest.raises(ConfigurationError):
             to_bytes(Report("x" * 70_000, 0, ()))
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _raw_report(hashes) -> bytes:
+    """A binary report built field by field, bypassing ``to_bytes``."""
+    return (struct.pack("!4sBH", b"QMRP", 1, 2) + b"sw"
+            + struct.pack("!Q", len(hashes))
+            + struct.pack("!I", len(hashes))
+            + b"".join(struct.pack("!IQd", i, i, h)
+                       for i, h in enumerate(hashes)))
+
+
+class TestNonFiniteHashes:
+    """Hashes are finite floats; NaN and ±inf are refused both ways."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    def test_encode_refuses(self, bad):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            to_bytes(Report("sw", 1, (((1, 1), bad),)))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_decode_refuses(self, bad, where):
+        hashes = [0.25, 0.5, 0.75]
+        hashes[where] = bad
+        with pytest.raises(WireFormatError, match="non-finite"):
+            from_bytes(_raw_report(hashes))
+
+    def test_finite_extremes_still_round_trip(self):
+        hashes = [-1.7976931348623157e308, -0.0, 5e-324,
+                  1.7976931348623157e308]
+        report = from_bytes(_raw_report(hashes))
+        assert [h for _record, h in report.entries] == hashes
+        assert from_bytes(to_bytes(report)) == report

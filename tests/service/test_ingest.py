@@ -4,6 +4,7 @@ conversion, and malformed-input accounting on both listeners."""
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
 import struct
 import time
@@ -22,6 +23,8 @@ from repro.service.ingest import (
 )
 from repro.service.rpc import rpc_call
 from repro.traffic.netflow import FlowRecord, encode_packets
+
+from tests.conftest import value_multiset
 
 
 def _flow(i: int, octets: int) -> FlowRecord:
@@ -173,6 +176,13 @@ class TestMalformedInputAccounting:
             # Truncated frame: claim 100 bytes, send 10, close.
             with socket.create_connection((d.host, d.tcp_port)) as s:
                 s.sendall(FRAME_HEADER.pack(100) + b"x" * 10)
+            # A NaN hash: outside the value domain, refused as garbage.
+            nan_blob = bytearray(
+                to_bytes(Report("sw0", 1, (((6, 60), 0.5),))))
+            nan_blob[-8:] = struct.pack("!d", float("nan"))
+            with socket.create_connection((d.host, d.tcp_port)) as s:
+                s.sendall(FRAME_HEADER.pack(len(nan_blob)) + nan_blob)
+                assert s.recv(1) == b""
             # A good frame on a fresh connection still works.
             report = Report("sw0", 1, (((5, 50), 0.5),))
             blob = to_bytes(report)
@@ -181,10 +191,75 @@ class TestMalformedInputAccounting:
             deadline = time.time() + 10
             while time.time() < deadline:
                 stats = rpc_call(d.host, d.rpc_port, "stats")
-                if (stats["tcp"]["malformed"] >= 3
+                if (stats["tcp"]["malformed"] >= 4
                         and stats["tcp"]["frames"] >= 1):
                     break
                 time.sleep(0.02)
-            assert stats["tcp"]["malformed"] == 3
+            assert stats["tcp"]["malformed"] == 4
             assert stats["tcp"]["frames"] == 1
             assert stats["tcp"]["records"] == 1
+
+
+def _wait_for_datagrams(d, n):
+    deadline = time.time() + 10
+    while time.time() < deadline:
+        stats = rpc_call(d.host, d.rpc_port, "stats")
+        if stats["udp"]["datagrams"] >= n:
+            return stats
+        time.sleep(0.02)
+    raise AssertionError(f"daemon saw {stats['udp']['datagrams']} of "
+                         f"{n} datagrams")
+
+
+@pytest.mark.service
+class TestCoalescedUdpReader:
+    """The UDP reader decodes every datagram of a wake-up into one
+    ``put``; under a feeder far smaller than one datagram it must still
+    pause, resume, and lose nothing but the garbage it counts."""
+
+    def test_burst_with_garbage_through_a_tiny_feeder(self):
+        q = 16
+        rng = random.Random(12)
+        sizes = [1, 30, 3, 30, 7, 1, 30, 29, 2, 30, 15, 30]
+        octets = rng.sample(range(1, 2**32), sum(sizes))
+        records = [_flow(rng.randrange(2**32), o) for o in octets]
+        good, start = [], 0
+        for size in sizes:
+            good += encode_packets(records[start:start + size])
+            start += size
+        (one,) = encode_packets([_flow(1, 1)])
+        garbage = [
+            b"",                                    # empty
+            b"\x00\x05",                            # short header
+            b"\x00\x09" + one[2:],                  # bad version
+            good[1][:-10],                          # short records
+            one[:2] + b"\x00\x1f" + one[4:] + bytes(48 * 31),  # count 31
+            bytes(rng.randrange(256) for _ in range(100)),
+        ]
+        burst = list(good)
+        for i, junk in enumerate(garbage):
+            burst.insert(2 * i + 1, junk)
+
+        cfg = ServiceConfig(q=q, udp_port=0, tcp_port=0, rpc_port=0,
+                            flush_interval=0.01, batch_max=8,
+                            queue_capacity=16)
+        with DaemonThread(cfg) as d:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for datagram in burst:
+                sock.sendto(datagram, (d.host, d.udp_port))
+            sock.close()
+            stats = _wait_for_datagrams(d, len(burst))
+            top = rpc_call(d.host, d.rpc_port, "top", q=q)
+            stats = rpc_call(d.host, d.rpc_port, "stats")
+
+        assert stats["udp"]["datagrams"] == len(burst)
+        assert stats["udp"]["malformed"] == len(garbage)
+        assert stats["feeder"]["stalls"] >= 1  # the reader paused...
+        # ...and resumed, losing nothing.
+        assert stats["udp"]["records"] == stats["feeder"]["records_in"]
+        assert stats["feeder"]["records_in"] == len(records)
+        assert stats["feeder"]["records_out"] == len(records)
+        ref = QMax(q, 0.25)
+        ref.add_many([r.src_ip for r in records],
+                     [float(r.octets) for r in records])
+        assert value_multiset(top) == value_multiset(ref.query())

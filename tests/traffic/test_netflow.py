@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +15,12 @@ from repro.traffic.netflow import (
     MAX_RECORDS_PER_PACKET,
     FlowRecord,
     decode_packet,
+    decode_src_octets,
     decode_stream,
     encode_packets,
     records_from_sample,
 )
+from repro.service.ingest import items_from_flow_records
 
 
 def _record(i: int) -> FlowRecord:
@@ -146,17 +151,9 @@ class TestSampleExport:
         assert {r.src_ip for r in back} == {k for k, _w, _e in sample}
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=70),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_roundtrip_property(n, seed):
-    """Property: any batch of valid records survives encode/decode."""
-    import random
-
+def _random_records(n: int, seed: int):
     rng = random.Random(seed)
-    records = [
+    return [
         FlowRecord(
             src_ip=rng.randrange(2**32),
             dst_ip=rng.randrange(2**32),
@@ -168,4 +165,95 @@ def test_roundtrip_property(n, seed):
         )
         for _ in range(n)
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=70),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_roundtrip_property(n, seed):
+    """Property: any batch of valid records survives encode/decode."""
+    records = _random_records(n, seed)
     assert decode_stream(encode_packets(records)) == records
+
+
+#: A well-formed v5 packet announcing zero records (``encode_packets``
+#: emits no packet at all for an empty batch).
+_EMPTY_PACKET = struct.pack("!HHIIIIBBH", 5, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _outcome(decode, data):
+    """What one decoder makes of ``data``: its columns, or the message
+    of the :class:`NetFlowDecodeError` it raised.  Any other exception
+    propagates and fails the test."""
+    try:
+        return decode(data)
+    except NetFlowDecodeError as exc:
+        return ("rejected", str(exc))
+
+
+def _record_level(data):
+    return items_from_flow_records(decode_packet(data))
+
+
+def _assert_columnar_matches_record_level(data):
+    assert (_outcome(decode_src_octets, data)
+            == _outcome(_record_level, data))
+
+
+class TestColumnarDecoder:
+    """``decode_src_octets`` ≡ ``items_from_flow_records ∘
+    decode_packet``: the same columns on every packet the record-level
+    path accepts, the same rejection (and message) on every one it
+    rejects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([0, 1, 29, 30]),
+                    st.integers(min_value=31, max_value=95)),
+        seed=st.integers(min_value=0, max_value=10_000),
+        trailer=st.binary(max_size=100),
+    )
+    def test_valid_packets(self, n, seed, trailer):
+        packets = encode_packets(_random_records(n, seed)) or [_EMPTY_PACKET]
+        for packet in packets:
+            for data in (packet, packet + trailer):
+                ids, vals = decode_src_octets(data)
+                assert (ids, vals) == _record_level(data)
+                assert all(type(v) is float for v in vals)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=256),
+        # A v5 header with any count, then any body.
+        st.tuples(st.integers(min_value=0, max_value=2**16 - 1),
+                  st.binary(max_size=30 * 48 + 64)).map(
+            lambda t: struct.pack("!HH", 5, t[0]) + t[1]),
+    ))
+    def test_arbitrary_bytes(self, data):
+        _assert_columnar_matches_record_level(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+        flips=st.lists(st.integers(min_value=0, max_value=2**20),
+                       min_size=1, max_size=6),
+        cut=st.integers(min_value=0, max_value=30 * 48 + 24),
+    )
+    def test_bit_flipped_and_truncated_packets(self, n, seed, flips, cut):
+        (packet,) = (encode_packets(_random_records(n, seed))
+                     or [_EMPTY_PACKET])
+        blob = bytearray(packet)
+        for f in flips:
+            blob[f % len(blob)] ^= 1 << (f % 8)
+        _assert_columnar_matches_record_level(bytes(blob))
+        _assert_columnar_matches_record_level(bytes(blob[:cut]))
+
+    @pytest.mark.parametrize("data", [
+        "not bytes", None, 5, bytearray(_EMPTY_PACKET),
+        memoryview(_EMPTY_PACKET),
+    ], ids=lambda d: type(d).__name__)
+    def test_input_types(self, data):
+        _assert_columnar_matches_record_level(data)
