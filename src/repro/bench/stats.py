@@ -4,7 +4,8 @@ The paper: "We ran each data point ten times, and we report the mean
 and 99% confidence intervals according to Student's t-test."  The same
 computation lives here (scipy provides the t quantile when installed;
 a pure-Python incomplete-beta inversion otherwise, so the benchmark
-harness has no hard scientific-stack dependency).
+harness has no hard scientific-stack dependency).  scipy is imported
+on first use, never at module level.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from repro._compat import HAVE_SCIPY, scipy_stats as _scipy_stats
+from repro._compat import HAVE_SCIPY
 from repro.errors import ConfigurationError
 
 
@@ -95,6 +96,24 @@ def _t_ppf(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _t_quantile(p: float, df: int) -> float:
+    """Student-t quantile: scipy's when it imports, the pure one otherwise.
+
+    scipy is imported here, not at module level, so that processes which
+    never report a confidence interval never pay for loading it.  An
+    installed scipy that fails to import degrades to the pure path, as
+    it did when the import ran at module level.
+    """
+    if HAVE_SCIPY:
+        try:
+            from scipy import stats
+        except ImportError:
+            pass
+        else:
+            return float(stats.t.ppf(p, df=df))
+    return _t_ppf(p, df)
+
+
 def confidence_interval(
     samples: Sequence[float], confidence: float = 0.99
 ) -> Tuple[float, float]:
@@ -114,11 +133,7 @@ def confidence_interval(
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
     p = (1 + confidence) / 2
-    if HAVE_SCIPY:
-        t_crit = float(_scipy_stats.t.ppf(p, df=n - 1))
-    else:
-        t_crit = _t_ppf(p, n - 1)
-    return mean, t_crit * sem
+    return mean, _t_quantile(p, n - 1) * sem
 
 
 def summarize(samples: Sequence[float], confidence: float = 0.99) -> str:

@@ -35,12 +35,13 @@ import os
 import platform
 import re
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro._compat import HAVE_NUMPY, HAVE_SCIPY
+from repro._compat import HAVE_NUMPY, HAVE_SCIPY, np
 from repro.errors import TrajectoryError
 
 #: Version of the on-disk row schema; bump on incompatible change.
@@ -217,21 +218,41 @@ class TrajectoryRow:
         return cls.from_dict(data)
 
 
+def _cpu_model() -> str:
+    """The CPU model name from ``/proc/cpuinfo`` where it exists, else
+    whatever :func:`platform.processor` reports (often ``""``)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def machine_fingerprint(extra: Optional[Mapping[str, object]] = None
                         ) -> Dict[str, object]:
     """A stable description of the measuring host.
 
-    The ``id`` digest covers everything that changes comparability:
-    platform, interpreter, core count, and which optional accelerator
-    stacks are installed (NumPy results are not comparable with
-    pure-Python results).  The gate only compares rows whose ids match.
+    The ``id`` digest covers the fields that decide comparability: OS,
+    architecture, CPU model, core count, interpreter and its
+    major.minor version, the NumPy version (``None`` when absent) and
+    whether scipy is installed (pure-Python results are not comparable
+    with NumPy results), plus ``extra``.  The full platform string,
+    which carries the kernel build, is recorded but not hashed, so a
+    host kernel update does not orphan the store.  The gate only
+    compares rows whose ids match.
     """
     info: Dict[str, object] = {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
+        "os": platform.system(),
+        "arch": platform.machine(),
+        "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
-        "numpy": HAVE_NUMPY,
+        "python": "{} {}.{}".format(platform.python_implementation(),
+                                    *sys.version_info[:2]),
+        "numpy": np.__version__ if HAVE_NUMPY else None,
         "scipy": HAVE_SCIPY,
     }
     if extra:
@@ -239,6 +260,7 @@ def machine_fingerprint(extra: Optional[Mapping[str, object]] = None
     digest = hashlib.sha256(
         json.dumps(info, sort_keys=True).encode("utf-8")
     ).hexdigest()
+    info.setdefault("platform", platform.platform())
     info["id"] = digest[:12]
     return info
 

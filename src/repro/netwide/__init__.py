@@ -11,31 +11,30 @@ the heavy hitter flows from it.
 The package also provides the Theorem-8 sliding-window variant (built
 on the slack-window q-MAX) and a topology simulation (networkx) that
 routes packets across NMPs to exercise the de-duplication property.
+
+Exports resolve lazily (PEP 562): ``from repro.netwide import X``
+imports only the module that defines ``X``.  The daemon imports
+:mod:`repro.netwide.wire` and the fleet coordinator
+:mod:`repro.netwide.controller`; neither may pull in networkx, which
+only the topology simulation uses.
 """
 
-from repro.netwide.nmp import MeasurementPoint
-from repro.netwide.controller import (
-    Controller,
-    estimate_total_from_sample,
-    flow_estimates_from_reports,
-    heavy_hitters_from_reports,
-    merge_reports_from_entries,
-)
-from repro.netwide.topology import NetworkTopology
-from repro.netwide.simulation import NetworkSimulation
-from repro.netwide.sliding import SlidingMeasurementPoint, SlidingController
-from repro.netwide.sliding_simulation import SlidingNetworkSimulation
+from repro._compat import lazy_exports
 
-__all__ = [
-    "MeasurementPoint",
-    "Controller",
-    "merge_reports_from_entries",
-    "estimate_total_from_sample",
-    "flow_estimates_from_reports",
-    "heavy_hitters_from_reports",
-    "NetworkTopology",
-    "NetworkSimulation",
-    "SlidingMeasurementPoint",
-    "SlidingController",
-    "SlidingNetworkSimulation",
-]
+_EXPORTS = {
+    "MeasurementPoint": "repro.netwide.nmp",
+    "Controller": "repro.netwide.controller",
+    "merge_reports_from_entries": "repro.netwide.controller",
+    "estimate_total_from_sample": "repro.netwide.controller",
+    "flow_estimates_from_reports": "repro.netwide.controller",
+    "heavy_hitters_from_reports": "repro.netwide.controller",
+    "NetworkTopology": "repro.netwide.topology",
+    "NetworkSimulation": "repro.netwide.simulation",
+    "SlidingMeasurementPoint": "repro.netwide.sliding",
+    "SlidingController": "repro.netwide.sliding",
+    "SlidingNetworkSimulation": "repro.netwide.sliding_simulation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,10 +26,12 @@ scheme.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.netwide.nmp import MeasurementPoint
+
+if TYPE_CHECKING:  # the coordinator imports this module; nmp loads repro.apps
+    from repro.netwide.nmp import MeasurementPoint
 
 #: One report entry: ((flow, packet_id), hash value).
 Entry = Tuple[Tuple[int, int], float]

@@ -247,3 +247,36 @@ class TestLegacyImport:
         path.write_text("[1, 2]")
         with pytest.raises(TrajectoryError, match="not a recognized"):
             import_legacy_bench_json(path, git_sha=SHA_A)
+
+
+class TestFingerprintFields:
+    def test_kernel_release_does_not_change_id(self, monkeypatch):
+        import platform
+
+        before = machine_fingerprint()
+        monkeypatch.setattr(platform, "platform",
+                            lambda *a, **k: "Linux-9.9.9-other-kernel-x86_64")
+        monkeypatch.setattr(platform, "release", lambda: "9.9.9-other-kernel")
+        after = machine_fingerprint()
+        assert after["id"] == before["id"]
+        assert after["platform"] == "Linux-9.9.9-other-kernel-x86_64"
+
+    def test_id_independent_of_scipy_import(self):
+        from tests.test_import_closure import run_fresh
+
+        code = (
+            "import json, sys\n"
+            "{prelude}"
+            "from repro.bench.trajectory import machine_fingerprint\n"
+            "print(json.dumps({{'id': machine_fingerprint()['id'],\n"
+            "                  'scipy_loaded': 'scipy' in sys.modules}}))\n"
+        )
+        lazy = run_fresh(code.format(prelude=""))
+        eager = run_fresh(code.format(prelude=(
+            "try:\n"
+            "    import scipy.stats\n"
+            "except ImportError:\n"
+            "    pass\n"
+        )))
+        assert not lazy["scipy_loaded"]
+        assert lazy["id"] == eager["id"]
