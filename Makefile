@@ -25,14 +25,11 @@ OBS_SUBSET = benchmarks/bench_fig04_gamma.py \
              benchmarks/bench_tab01_speedups.py
 
 .PHONY: test bench bench-fast bench-subset bench-report bench-gate \
-        bench-overhead bench-wallclock build-native examples serve-demo \
+        bench-overhead bench-wallclock examples serve-demo \
         fleet-demo lint all outputs
 
 test:
 	$(PYTEST) tests/
-
-build-native:  ## compile the optional C maintenance kernel in-tree
-	python setup.py build_ext --inplace
 
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only -s

@@ -8,12 +8,14 @@ ablation quantifies what each variant costs in CPython:
   dispatch overhead per micro-batch.
 * ``AmortizedQMax``: identical amortized cost, O(q) bursts, lowest
   constants in CPython.
-* ``VectorQMax`` with batched ingestion: the same algorithmic idea with
-  C-speed filtering and selection.
+* ``QMax(kernel="numpy")`` fed NumPy columns through
+  ``add_many_array``: the same algorithmic idea with C-speed filtering
+  and selection.
 
 Also reports the realized worst-case per-update maintenance ops of the
 deamortized variant (the bound behind Theorem 1) next to the amortized
-variant's burst size.
+variant's burst size.  Each MPPS metric carries its measurement's
+confidence-interval half-width.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from bench_common import emit_table
 from conftest import bench_stream, measure_backend, repeats, scaled
 
 from repro.bench.runner import measure_callable
-from repro.core.amortized import AmortizedQMax, VectorQMax
+from repro.core.amortized import AmortizedQMax
 from repro.core.qmax import QMax
 
 GAMMA = 0.25
@@ -41,27 +43,34 @@ def test_ablation_deamortization(benchmark):
     amortized = measure_backend(
         "amortized", lambda: AmortizedQMax(q, GAMMA), stream
     )
-    rows.append(["qmax (deamortized)", deamortized.mpps])
-    rows.append(["qmax (amortized)", amortized.mpps])
-
     ids = np.arange(len(stream))
     vals = np.array([v for _, v in stream])
 
     def batched_run():
-        s = VectorQMax(q, GAMMA)
+        s = QMax(q, GAMMA, kernel="numpy")
         for start in range(0, len(stream), 4096):
-            s.add_batch(ids[start:start + 4096],
-                        vals[start:start + 4096])
+            s.add_many_array(ids[start:start + 4096],
+                             vals[start:start + 4096])
         return len(stream)
 
     vector = measure_callable("numpy-batched", lambda: batched_run,
                               repeats=repeats())
-    rows.append(["qmax (numpy, 4096-batches)", vector.mpps])
+    metrics = []
+    for label, m in (
+        ("qmax (deamortized)", deamortized),
+        ("qmax (amortized)", amortized),
+        ("qmax (numpy, 4096-batches)", vector),
+    ):
+        mean, half = m.mpps_ci
+        rows.append([label, mean])
+        metrics.append({"name": label, "value": mean, "unit": "mpps",
+                        "ci_halfwidth": half})
     emit_table(
         f"Ablation: q-MAX maintenance strategies (q={q}, gamma={GAMMA})",
         ["variant", "MPPS"],
         rows,
         config={"q": q, "gamma": GAMMA, "items": len(stream)},
+        metrics=metrics,
     )
 
     # Worst-case maintenance burst comparison.

@@ -1,11 +1,10 @@
-"""Ablation: maintenance kernels (stepwise vs numpy vs native).
+"""Ablation: maintenance kernels (stepwise vs numpy).
 
-The kernel registry (``repro.core.kernels``) lets ``QMax`` execute its
-per-iteration maintenance — Select the q-th largest of the merged
-region, then partition — either deamortized (the resumable generators,
+``repro.core.kernels`` lets ``QMax`` execute its per-iteration
+maintenance — Select the q-th largest of the merged region, then
+partition — either deamortized (the resumable generators,
 ``stepwise``) or as one opaque fast call per iteration boundary
-(``numpy``: one ``np.argpartition`` + two fancy-index copies;
-``native``: compiled quickselect + Dutch-national-flag partition).
+(``numpy``: one ``np.argpartition`` + two fancy-index copies).
 This ablation measures the kernel × q × γ throughput grid on two
 workloads:
 
@@ -16,8 +15,9 @@ workloads:
 
 Metric names carry the *nominal* q tag (``1k``/``10k``), not the
 REPRO_SCALE-dependent value, so trajectory rows stay comparable across
-scales.  Kernels unavailable on this host are skipped (the registry
-would silently fall back, which would record a mislabelled number).
+scales.  Without NumPy the ``numpy`` kernel is skipped (the lookup
+would fall back to stepwise, which would record a mislabelled number).
+Each metric carries its measurement's confidence-interval half-width.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from conftest import repeats, scaled
 from repro._compat import HAVE_NUMPY
 from repro.bench.runner import measure_throughput_batched
 from repro.bench.workloads import value_stream
-from repro.core.kernels import kernel_available
 from repro.core.qmax import QMax
 
 #: Burst size of the batched driver (matches the shard-worker drain
@@ -42,9 +41,7 @@ Q_POINTS = (("1k", 1_000), ("10k", 10_000))
 
 
 def _kernels():
-    names = ["stepwise"]
-    names += [k for k in ("numpy", "native") if kernel_available(k)]
-    return names
+    return ["stepwise", "numpy"] if HAVE_NUMPY else ["stepwise"]
 
 
 def _streams(n):
@@ -74,12 +71,14 @@ def test_ablation_kernel(benchmark):
                         BURST,
                         repeats=repeats(),
                     )
-                    mpps[(wname, qtag, gamma, kname)] = m.mpps
-                    rows.append([wname, qtag, gamma, kname, m.mpps])
+                    mean, half = m.mpps_ci
+                    mpps[(wname, qtag, gamma, kname)] = mean
+                    rows.append([wname, qtag, gamma, kname, mean])
                     metrics.append({
                         "name": f"{wname}/q{qtag}/g{gamma:g}/{kname}",
-                        "value": m.mpps,
+                        "value": mean,
                         "unit": "mpps",
+                        "ci_halfwidth": half,
                     })
 
     emit_table(
@@ -96,17 +95,12 @@ def test_ablation_kernel(benchmark):
     # Shape: on the admission-heavy workload at the paper's q=1e4
     # point the one-shot numpy kernel must clear 2x the deamortized
     # schedule (measured ~6x on one idle core; the slack absorbs noisy
-    # shared-CPU runners), and the native kernel must not lose to
-    # numpy beyond noise.
+    # shared-CPU runners).
     if HAVE_NUMPY:
         key = ("ascending", "10k", 1.0)
         assert mpps[key + ("numpy",)] >= 2.0 * mpps[key + ("stepwise",)], (
             mpps[key + ("numpy",)], mpps[key + ("stepwise",)],
         )
-        if kernel_available("native"):
-            assert mpps[key + ("native",)] >= 0.9 * mpps[key + ("numpy",)], (
-                mpps[key + ("native",)], mpps[key + ("numpy",)],
-            )
 
     best = kernels[-1]
     q = scaled(10_000, minimum=128)

@@ -130,13 +130,13 @@ def test_sec3_qmax_phase_breakdown(benchmark):
     per-item admission filter — the O(1) path the paper's amortization
     argument makes cheap.  The breakdown runs once per available
     maintenance kernel: the deamortized ``stepwise`` schedule and the
-    one-shot ``numpy``/``native`` kernels, whose select/pivot spans
-    come from the kernels' own phase callbacks, so the attribution
-    stays honest in every mode (a drive that finishes the Select and
-    runs into the pivot splits its span at the transition instead of
-    charging everything to one phase).
+    one-shot ``numpy`` kernel, whose select/pivot spans come from the
+    kernel's own phase callbacks, so the attribution stays honest in
+    every mode (a drive that finishes the Select and runs into the
+    pivot splits its span at the transition instead of charging
+    everything to one phase).
     """
-    from repro.core.kernels import kernel_available
+    from repro._compat import HAVE_NUMPY
     from repro.core.qmax import QMax
     from repro.obs import MetricsRegistry
 
@@ -146,8 +146,7 @@ def test_sec3_qmax_phase_breakdown(benchmark):
     vals = [float(w) for _key, w in stream]
     q = scaled(1_000, minimum=100)
 
-    kernels = ["stepwise"]
-    kernels += [k for k in ("numpy", "native") if kernel_available(k)]
+    kernels = ["stepwise", "numpy"] if HAVE_NUMPY else ["stepwise"]
 
     def run(kernel):
         reg = MetricsRegistry()

@@ -1,27 +1,10 @@
-"""Legacy setup shim + best-effort native kernel build.
+"""Legacy setup shim.
 
 Allows ``pip install -e .`` to use the setuptools develop path in
 offline environments where PEP-517 build isolation cannot download
 build dependencies (metadata lives in pyproject.toml).
-
-Also declares the optional C maintenance kernel
-(``repro.core.kernels._native``).  ``optional=True`` makes the build
-best-effort: without a working compiler the extension is skipped with
-a warning and the package installs pure — the kernel registry then
-falls back ``native`` → ``numpy`` → ``stepwise`` at runtime (see
-``repro/core/kernels/__init__.py``).  For an in-tree build (tests run
-with ``PYTHONPATH=src``) use ``make build-native`` /
-``python setup.py build_ext --inplace``.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro.core.kernels._native",
-            sources=["src/repro/core/kernels/_native.c"],
-            optional=True,
-        ),
-    ],
-)
+setup()

@@ -38,7 +38,6 @@ from repro.core import (
     SlidingQMax,
     TimeHierarchicalSlidingQMax,
     TimeSlidingQMax,
-    VectorQMax,
     sort_via_qmax,
 )
 from repro.baselines import HeapQMax, SkipListQMax, SortedListQMax
@@ -49,7 +48,6 @@ __all__ = [
     "QMaxBase",
     "QMax",
     "AmortizedQMax",
-    "VectorQMax",
     "MergingQMax",
     "QMin",
     "SlidingQMax",

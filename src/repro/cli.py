@@ -197,7 +197,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return QMax(args.q, args.gamma, kernel=kernel)
 
     # Label with the *resolved* kernel (make_qmax's probe), so a table
-    # produced on a box without the native extension says so.
+    # produced on a box without NumPy says so.
     qmax_label = (
         f"qmax(g={args.gamma:g},k={make_qmax().kernel})"
         if kernel else f"qmax(g={args.gamma:g})"
@@ -605,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="sharded engine execution mode")
         parser.add_argument(
             "--kernel", default=None,
-            choices=("stepwise", "numpy", "native"),
+            choices=("stepwise", "numpy"),
             help="qmax maintenance kernel (default: REPRO_KERNEL or "
-            "the deamortized stepwise schedule); numpy/native run "
-            "one-shot boundary drives, falling back when unavailable")
+            "the deamortized stepwise schedule); numpy runs one-shot "
+            "boundary drives, falling back to stepwise without NumPy")
         parser.add_argument(
             "--record", action="store_true",
             help="append the sweep to the bench trajectory store")

@@ -1,14 +1,14 @@
 """Core q-MAX algorithms — the paper's primary contribution.
 
-Exports the interval algorithm (Algorithm 1) and its amortized /
-vectorised variants, the sliding-window algorithms (Algorithms 3 and 4,
+Exports the interval algorithm (Algorithm 1) and its amortized
+variant, the sliding-window algorithms (Algorithms 3 and 4,
 Theorem 7), the exponential-decay reduction (§5), the duplicate-merging
 variant used by LRFU and PBA, and the sorting reduction (Algorithm 2).
 """
 
 from repro.core.interface import QMaxBase
 from repro.core.qmax import QMax
-from repro.core.amortized import AmortizedQMax, VectorQMax
+from repro.core.amortized import AmortizedQMax
 from repro.core.merging import MergingQMax
 from repro.core.qmin import QMin
 from repro.core.sliding import SlidingQMax
@@ -22,7 +22,6 @@ __all__ = [
     "QMaxBase",
     "QMax",
     "AmortizedQMax",
-    "VectorQMax",
     "MergingQMax",
     "QMin",
     "SlidingQMax",

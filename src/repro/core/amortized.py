@@ -1,4 +1,4 @@
-"""Amortized and vectorised q-MAX variants.
+"""Amortized q-MAX variant.
 
 :class:`AmortizedQMax` is the "fill a buffer, then compact" version of
 Algorithm 1: identical admission filter and space bound, but the Select
@@ -7,17 +7,15 @@ over the iteration.  It is the natural ablation of the deamortization
 (same amortized cost, bursty worst case) and, in CPython, usually the
 faster of the two because it avoids generator dispatch per item.
 
-:class:`VectorQMax` additionally stores values in a NumPy array and
-compacts with ``argpartition``; it exposes a batch ``add_batch`` used by
-the ablation benchmark to show how far vectorisation pushes the same
-algorithmic idea.
+The vectorised form of the same idea — a float64 store compacted with
+``argpartition`` — is ``QMax(kernel="numpy")`` fed through
+``add_many`` / ``add_many_array``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Sequence
 
-from repro._compat import HAVE_NUMPY, np
 from repro.core.interface import QMaxBase
 from repro.core.select import partition_top
 from repro.errors import ConfigurationError, InvariantError
@@ -176,111 +174,3 @@ class AmortizedQMax(QMaxBase):
             at_least = sum(1 for v in live if v >= self._psi)
             if at_least < min(self.q, len(live)):
                 raise InvariantError("psi exceeds the q-th largest live value")
-
-
-class VectorQMax(QMaxBase):
-    """NumPy-backed q-MAX with batch ingestion.
-
-    Values live in a ``float64`` array and ids in an object array;
-    maintenance uses ``np.argpartition`` (introselect — the same
-    linear-time selection idea as Algorithm 1's Select, executed in C).
-    ``add`` works item-at-a-time for interface compatibility, but the
-    intended use is :meth:`add_batch`, which filters an entire chunk
-    against ``Ψ`` with one vectorised comparison.
-    """
-
-    __slots__ = ("q", "gamma", "_cap", "_vals", "_ids", "_fill", "_psi",
-                 "compactions", "admitted", "rejected")
-
-    def __init__(self, q: int, gamma: float = 0.25) -> None:
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "VectorQMax requires numpy (pip install .[fast])"
-            )
-        if q < 1:
-            raise ConfigurationError(f"q must be >= 1, got {q}")
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-        self.q = q
-        self.gamma = gamma
-        self._cap = q + max(1, int(q * gamma + 0.999999))
-        self.reset()
-
-    def reset(self) -> None:
-        self._vals = np.full(self._cap, -np.inf, dtype=np.float64)
-        self._ids = np.empty(self._cap, dtype=object)
-        self._fill = 0
-        self._psi = -np.inf
-        self.compactions = 0
-        self.admitted = 0
-        self.rejected = 0
-
-    def add(self, item_id: ItemId, val: Value) -> None:
-        if val <= self._psi:
-            self.rejected += 1
-            return
-        self._vals[self._fill] = val
-        self._ids[self._fill] = item_id
-        self._fill += 1
-        self.admitted += 1
-        if self._fill == self._cap:
-            self._compact()
-
-    def add_many(self, ids: Sequence[ItemId], vals: Sequence[Value]) -> None:
-        """Uniform batch entry point; delegates to :meth:`add_batch`."""
-        self.add_batch(ids, vals)
-
-    def add_batch(
-        self, item_ids: Sequence[ItemId], vals: "np.ndarray"
-    ) -> None:
-        """Admit a whole chunk of items with vectorised filtering."""
-        vals = np.asarray(vals, dtype=np.float64)
-        ids_arr = np.asarray(item_ids, dtype=object)
-        if vals.shape != ids_arr.shape:
-            raise ConfigurationError("ids and vals must have equal length")
-        keep = vals > self._psi
-        vals = vals[keep]
-        ids_arr = ids_arr[keep]
-        self.rejected += int(keep.size - vals.size)
-        start = 0
-        while start < vals.size:
-            room = self._cap - self._fill
-            take = min(room, vals.size - start)
-            end = self._fill + take
-            self._vals[self._fill:end] = vals[start:start + take]
-            self._ids[self._fill:end] = ids_arr[start:start + take]
-            self._fill = end
-            self.admitted += take
-            start += take
-            if self._fill == self._cap:
-                self._compact()
-                # Re-filter the remainder against the tightened threshold.
-                if start < vals.size:
-                    keep = vals[start:] > self._psi
-                    tail_vals = vals[start:][keep]
-                    tail_ids = ids_arr[start:][keep]
-                    self.rejected += int(keep.size - tail_vals.size)
-                    vals, ids_arr, start = tail_vals, tail_ids, 0
-
-    def _compact(self) -> None:
-        # argpartition puts the q largest at the end; move them to front.
-        order = np.argpartition(self._vals[: self._fill], self._fill - self.q)
-        top = order[self._fill - self.q:]
-        self._vals[: self.q] = self._vals[top]
-        self._ids[: self.q] = self._ids[top]
-        self._fill = self.q
-        self._psi = float(self._vals[: self.q].min())
-        self.compactions += 1
-
-    def items(self) -> Iterator[Item]:
-        for i in range(self._fill):
-            if self._ids[i] is not None:
-                yield self._ids[i], float(self._vals[i])
-
-    @property
-    def space_slots(self) -> int:
-        return self._cap
-
-    @property
-    def name(self) -> str:
-        return f"qmax-numpy(gamma={self.gamma:g})"

@@ -1,4 +1,4 @@
-"""Maintenance kernels: one-shot select+pivot drives behind a registry.
+"""Maintenance kernels: one-shot select+pivot drives.
 
 Algorithm 1's maintenance — Select the q-th largest value of the merged
 region, then three-way-partition the region around it — is executed by
@@ -8,42 +8,35 @@ admitted item) or as **one opaque fast call per iteration** through a
 *maintenance kernel*.  A kernel performs the entire drive at the
 iteration boundary, trading the paper's per-update O(1/γ) worst-case
 bound for a far lower amortized constant: no generator dispatch, no
-per-element Python bytecode on the vectorized/native implementations.
+per-element Python bytecode on the vectorized implementation.
 
-Registered kernels:
+The two kernels:
 
 ``stepwise``
     The resumable generators driven to completion in one call — the
-    deamortization-exact reference all other kernels are differentially
-    fuzzed against.  Always available.  (Passing the *name*
-    ``"stepwise"`` to ``QMax`` selects the default deamortized
+    deamortization-exact reference the ``numpy`` kernel is
+    differentially fuzzed against.  Always available.  (Passing the
+    *name* ``"stepwise"`` to ``QMax`` selects the default deamortized
     schedule; passing a :class:`~repro.core.kernels.stepwise.
     StepwiseKernel` *instance* selects one-shot drives.)
 ``numpy``
     One-shot ``np.argpartition`` select + fancy-index partition over
     the float64 value column; no per-record Python.  Available when
-    NumPy is installed.
-``native``
-    Optional C extension (``_native.c``): median-of-three quickselect
-    plus Dutch-national-flag partition over contiguous ``double`` /
-    ``uint64`` buffers.  Built best-effort by ``setup.py`` (or
-    ``make build-native``); available only when the compiled module
-    imports.
+    NumPy imports; on a pure-Python host a request for it runs
+    ``stepwise`` instead, with a warning.  ``QMax.stats()`` always
+    reports the kernel that actually resolved, never the request.
 
-Resolution is *graceful*: :func:`get_kernel` walks a fallback chain
-(``native`` → ``numpy`` → ``stepwise``) when the requested kernel is
-unavailable on this host, logging a warning — a deployment pinned to
-``REPRO_KERNEL=native`` still runs (slower) on a box without a
-compiler.  Pass ``require=True`` to fail instead.  ``QMax.stats()``
-always reports the kernel that actually resolved, never the request.
+Any other name raises :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro._compat import HAVE_NUMPY
+from repro.core.kernels.numpy_kernel import NumpyKernel
+from repro.core.kernels.stepwise import StepwiseKernel
 from repro.errors import ConfigurationError
 
 _LOG = logging.getLogger("repro.core.kernels")
@@ -55,100 +48,48 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: The default kernel name (the deamortized reference schedule).
 DEFAULT_KERNEL = "stepwise"
 
-
-class _Entry(NamedTuple):
-    factory: Callable[[], object]
-    available: Callable[[], bool]
-    fallback: Optional[str]
-
-
-_REGISTRY: Dict[str, _Entry] = {}
-
-
-def register_kernel(
-    name: str,
-    factory: Callable[[], object],
-    available: Optional[Callable[[], bool]] = None,
-    fallback: Optional[str] = None,
-) -> None:
-    """Register a kernel factory under ``name``.
-
-    ``available`` is a zero-argument probe (default: always true);
-    ``fallback`` names the kernel :func:`get_kernel` degrades to when
-    the probe fails.  Registering an existing name replaces it (tests
-    use this to inject unavailable kernels).
-    """
-    _REGISTRY[name] = _Entry(factory, available or (lambda: True), fallback)
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel names, in registration order."""
-    return tuple(_REGISTRY)
+#: Every kernel name :func:`get_kernel` accepts.
+KERNEL_NAMES = ("stepwise", "numpy")
 
 
 def kernel_available(name: str) -> bool:
-    """Whether ``name`` is registered and usable on this host."""
-    entry = _REGISTRY.get(name)
-    return entry is not None and entry.available()
+    """Whether ``name`` is a kernel that can run on this host."""
+    return name == "stepwise" or (name == "numpy" and HAVE_NUMPY)
 
 
-def native_available() -> bool:
-    """Whether the compiled ``_native`` extension imported."""
-    return kernel_available("native")
+def get_kernel(name: str):
+    """Instantiate the kernel called ``name``.
 
-
-def get_kernel(name: str, require: bool = False):
-    """Instantiate the kernel registered under ``name``.
-
-    When the kernel is unavailable (e.g. ``native`` without the
-    compiled extension) the registered fallback chain is followed with
-    a warning, unless ``require=True``, which raises
-    :class:`~repro.errors.ConfigurationError` instead.
+    ``numpy`` without NumPy degrades to ``stepwise`` with a warning; an
+    unknown name raises :class:`~repro.errors.ConfigurationError`.
     """
-    if name not in _REGISTRY:
+    if name not in KERNEL_NAMES:
         raise ConfigurationError(
-            f"unknown kernel {name!r}; registered: {', '.join(_REGISTRY)}"
+            f"unknown kernel {name!r}; choose one of: "
+            f"{', '.join(KERNEL_NAMES)}"
         )
-    current = name
-    seen = set()
-    while True:
-        if current in seen:  # defensive: a fallback cycle
-            raise ConfigurationError(
-                f"kernel fallback cycle starting at {name!r}"
-            )
-        seen.add(current)
-        entry = _REGISTRY[current]
-        if entry.available():
-            if current != name:
-                _LOG.warning(
-                    "kernel %r is not available on this host; "
-                    "falling back to %r", name, current,
-                )
-            return entry.factory()
-        if require:
-            raise ConfigurationError(
-                f"kernel {name!r} is not available on this host "
-                f"(required explicitly)"
-            )
-        if entry.fallback is None:
-            raise ConfigurationError(
-                f"kernel {name!r} is unavailable and has no fallback"
-            )
-        current = entry.fallback
+    if name == "numpy":
+        if kernel_available("numpy"):
+            return NumpyKernel()
+        _LOG.warning(
+            "kernel 'numpy' needs NumPy, which is not installed; "
+            "falling back to 'stepwise'"
+        )
+    return StepwiseKernel()
 
 
-def resolve_kernel(spec, require: bool = False):
+def resolve_kernel(spec):
     """Resolve a kernel request to an instance.
 
     ``spec`` is ``None`` (consult ``REPRO_KERNEL``, defaulting to
-    ``stepwise``), a registered name, or an object already implementing
+    ``stepwise``), a kernel name, or an object already implementing
     the kernel protocol (``drive(vals, ids, lo, hi, q, side,
     observe=None) -> threshold``), which is returned as-is.
     """
     if spec is None:
         spec = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
     if isinstance(spec, str):
-        return get_kernel(spec, require=require)
+        return get_kernel(spec)
     if hasattr(spec, "drive"):
         return spec
     raise ConfigurationError(
@@ -157,40 +98,13 @@ def resolve_kernel(spec, require: bool = False):
     )
 
 
-# ----------------------------------------------------------------------
-# Built-in registrations (import order defines the fallback chain).
-# ----------------------------------------------------------------------
-
-from repro.core.kernels.stepwise import StepwiseKernel  # noqa: E402
-from repro.core.kernels.numpy_kernel import (  # noqa: E402
-    NumpyKernel,
-    numpy_kernel_available,
-)
-from repro.core.kernels.native import (  # noqa: E402
-    NativeKernel,
-    native_module_available,
-)
-
-register_kernel("stepwise", StepwiseKernel)
-register_kernel(
-    "numpy", NumpyKernel,
-    available=numpy_kernel_available, fallback="stepwise",
-)
-register_kernel(
-    "native", NativeKernel,
-    available=native_module_available, fallback="numpy",
-)
-
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_ENV",
-    "NativeKernel",
+    "KERNEL_NAMES",
     "NumpyKernel",
     "StepwiseKernel",
     "get_kernel",
     "kernel_available",
-    "kernel_names",
-    "native_available",
-    "register_kernel",
     "resolve_kernel",
 ]

@@ -1,98 +1,13 @@
-"""Compiled maintenance kernel: C quickselect + DNF partition.
+"""Probe kept for the end-to-end benchmark harness.
 
-Wraps the optional ``repro.core.kernels._native`` extension (see
-``_native.c``; built best-effort by ``setup.py`` / ``make
-build-native``).  The C side works on two contiguous buffers — the
-region's ``double`` values and a ``uint64`` permutation initialized to
-``arange`` — selecting the target rank in place and co-swapping the
-permutation, so Python applies the id movement with a single
-fancy-index afterwards.  No NumPy C API is involved (plain buffer
-protocol), which keeps the extension ABI-independent of the installed
-NumPy and lets it run on the pure-Python stack through ``array('d')``
-/ ``array('Q')`` shadow buffers.
-
-Import of this module never fails: when the extension is missing the
-kernel just reports unavailable and the registry falls back
-(``native`` → ``numpy`` → ``stepwise``).
+The compiled maintenance kernel that used to live here was removed: it
+measured 0.93–1.49× the ``numpy`` kernel, short of the ≥2× that would
+have paid for a C extension, a build step and a third kernel.
+``perfbench/bench.py`` still reports ``"native"`` in its environment
+block through this probe, so the function stays and always answers
+``False``.  Nothing in :mod:`repro.core.kernels` imports this module.
 """
-
-from __future__ import annotations
-
-from array import array
-from time import perf_counter
-
-from repro._compat import HAVE_NUMPY, np
-from repro.errors import ConfigurationError
-
-try:
-    from repro.core.kernels import _native
-except ImportError:  # no compiler / extension not built
-    _native = None
 
 
 def native_module_available() -> bool:
-    return _native is not None
-
-
-class NativeKernel:
-    """One-shot drive through the compiled select/partition routines."""
-
-    name = "native"
-    array_storage = True
-
-    def __init__(self) -> None:
-        if _native is None:
-            raise ConfigurationError(
-                "the native kernel extension is not built "
-                "(python setup.py build_ext --inplace)"
-            )
-
-    def drive(self, vals, ids, lo, hi, q, side, observe=None):
-        n = hi - lo
-        if not 1 <= q <= n:
-            raise ConfigurationError(
-                f"q={q} out of range for region [{lo}, {hi})"
-            )
-        kth = n - q
-        big_on_right = side == "right"
-        if side not in ("left", "right"):
-            raise ConfigurationError(
-                f"side must be 'left' or 'right', got {side!r}"
-            )
-        if observe is not None:
-            t0 = perf_counter()
-        if HAVE_NUMPY and isinstance(vals, np.ndarray):
-            region = vals[lo:hi]
-            perm = np.arange(n, dtype=np.uint64)
-            threshold = _native.select_kth(region, perm, kth)
-            if observe is not None:
-                t1 = perf_counter()
-                observe("select", t1 - t0)
-            _native.dnf_partition(region, perm, threshold, big_on_right)
-            ids[lo:hi] = ids[lo:hi][perm.astype(np.intp)]
-            if observe is not None:
-                observe("pivot", perf_counter() - t1)
-            return threshold
-        # List storage: the C routines see float64/uint64 shadow
-        # buffers; the original value/id objects are permuted into
-        # place afterwards (integer values stay integers).
-        region_vals = vals[lo:hi]
-        region_ids = ids[lo:hi]
-        buf = array("d", region_vals)
-        perm = array("Q", range(n))
-        _native.select_kth(buf, perm, kth)
-        # perm[kth] is the original index of the rank value — recover
-        # the caller's object before the partition moves it again.
-        threshold = region_vals[perm[kth]]
-        if observe is not None:
-            t1 = perf_counter()
-            observe("select", t1 - t0)
-        _native.dnf_partition(buf, perm, buf[kth], big_on_right)
-        i = lo
-        for j in perm:
-            vals[i] = region_vals[j]
-            ids[i] = region_ids[j]
-            i += 1
-        if observe is not None:
-            observe("pivot", perf_counter() - t1)
-        return threshold
+    return False

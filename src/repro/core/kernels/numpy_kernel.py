@@ -6,11 +6,11 @@ fancy-index copies (values, ids).  On the ndarray store QMax uses in
 kernel mode nothing touches a per-record Python object — the drive is
 a handful of C calls regardless of region size.
 
-A list-storage fallback exists for pure-Python stores (and foreign
-callers): comparisons still run in C over a float64 shadow array, the
-original value/id *objects* are permuted into place afterwards, so
-integer values stay integers — the same contract as
-:func:`repro.core.select.partition_top`'s NumPy path.
+List storage (``QMax(use_numpy=False)`` and foreign callers) goes
+through :func:`repro.core.select.argpartition_top`, the same routine as
+:func:`repro.core.select.partition_top`'s NumPy path: comparisons run
+in C over a float64 shadow array and the original value/id *objects*
+are permuted into place afterwards, so integer values stay integers.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro._compat import HAVE_NUMPY, np
+from repro.core.select import argpartition_top
 from repro.errors import ConfigurationError
-
-
-def numpy_kernel_available() -> bool:
-    return HAVE_NUMPY
 
 
 class NumpyKernel:
@@ -43,40 +40,23 @@ class NumpyKernel:
             raise ConfigurationError(
                 f"q={q} out of range for region [{lo}, {hi})"
             )
+        if not isinstance(vals, np.ndarray):
+            return argpartition_top(vals, ids, lo, hi, q, side, observe)
         kth = n - q
         if observe is not None:
             t0 = perf_counter()
-        if isinstance(vals, np.ndarray):
-            region = vals[lo:hi]
-            order = np.argpartition(region, kth)
-            threshold = float(region[order[kth]])
-            if observe is not None:
-                t1 = perf_counter()
-                observe("select", t1 - t0)
-            # Ascending argpartition leaves the top q (threshold
-            # included) in the last q slots; mirror for side="left".
-            if side == "left":
-                order = order[::-1]
-            vals[lo:hi] = region[order]
-            ids[lo:hi] = ids[lo:hi][order]
-            if observe is not None:
-                observe("pivot", perf_counter() - t1)
-            return threshold
-        region_vals = vals[lo:hi]
-        varr = np.asarray(region_vals, dtype=np.float64)
-        order = np.argpartition(varr, kth)
-        threshold = region_vals[int(order[kth])]
+        region = vals[lo:hi]
+        order = np.argpartition(region, kth)
+        threshold = float(region[order[kth]])
         if observe is not None:
             t1 = perf_counter()
             observe("select", t1 - t0)
-        perm = order.tolist()
+        # Ascending argpartition leaves the top q (threshold included)
+        # in the last q slots; mirror for side="left".
         if side == "left":
-            perm.reverse()
-        region_ids = ids[lo:hi]
-        for i in range(n):
-            j = perm[i]
-            vals[lo + i] = region_vals[j]
-            ids[lo + i] = region_ids[j]
+            order = order[::-1]
+        vals[lo:hi] = region[order]
+        ids[lo:hi] = ids[lo:hi][order]
         if observe is not None:
             observe("pivot", perf_counter() - t1)
         return threshold

@@ -3,9 +3,9 @@
 This is the semantics anchor of the kernel subsystem: it executes the
 exact same quickselect + Dutch-national-flag code the deamortized
 schedule steps through, only without yielding between operation
-budgets.  The differential fuzz suite pins the ``numpy`` and ``native``
-kernels against this one — identical retained value-multiset and Ψ
-after every drive — so the fast kernels are proven drop-in.
+budgets.  The differential fuzz suite pins the ``numpy`` kernel
+against this one — identical retained value-multiset and Ψ after every
+drive — so the fast kernel is proven drop-in.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ class QMax(QMaxBase):
         Maintenance execution strategy (see :mod:`repro.core.kernels`).
         ``None`` consults ``REPRO_KERNEL`` then defaults to
         ``"stepwise"`` — the deamortized generator schedule above,
-        with its per-update O(1/γ) bound.  ``"numpy"`` / ``"native"``
+        with its per-update O(1/γ) bound.  ``"numpy"``
         (or any kernel instance, including a
         :class:`~repro.core.kernels.stepwise.StepwiseKernel`) switch to
         **one-shot drives**: maintenance runs as a single fast call at
@@ -124,9 +124,9 @@ class QMax(QMaxBase):
         every boundary and remains a valid lower bound throughout), so
         admission decisions between a one-shot structure and the
         deamortized default can differ mid-iteration — the top-q
-        answer is exact either way (docs/ALGORITHMS.md).  Unavailable
-        kernels degrade gracefully (``native`` → ``numpy`` →
-        ``stepwise``); :meth:`stats` reports what actually resolved.
+        answer is exact either way (docs/ALGORITHMS.md).  ``"numpy"``
+        without NumPy degrades to ``"stepwise"`` with a warning;
+        :meth:`stats` reports what actually resolved.
         Step-budget Select strategies (``deterministic_select``,
         ``pivot_sample``) are meaningless under one-shot drives: they
         raise with an explicitly requested kernel, and win over a

@@ -21,7 +21,8 @@ id objects, which keeps the hot loops cheap in CPython).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from time import perf_counter
+from typing import Callable, Generator, List, Optional, Tuple
 
 from repro._compat import HAVE_NUMPY, np
 from repro.errors import ConfigurationError
@@ -508,32 +509,46 @@ def partition_top(
             "use_numpy=True but numpy is not installed (pip install .[fast])"
         )
     if use_numpy:
-        return _partition_top_numpy(vals, ids, lo, hi, q, side)
+        return argpartition_top(vals, ids, lo, hi, q, side)
     threshold = select_kth_largest(vals, ids, lo, hi, q)
     dnf_partition(vals, ids, lo, hi, threshold, side)
     return threshold
 
 
-def _partition_top_numpy(
+def argpartition_top(
     vals: List[Value],
     ids: List[ItemId],
     lo: int,
     hi: int,
     q: int,
     side: str,
+    observe: Optional[Callable[[str, float], None]] = None,
 ) -> Value:
-    """``np.argpartition`` realization of :func:`partition_top`."""
+    """``np.argpartition`` select-and-pivot over list storage.
+
+    The NumPy path of :func:`partition_top` and the list-storage drive
+    of the ``numpy`` maintenance kernel.  Comparisons run in C over a
+    float64 shadow of ``vals[lo:hi)``; the original value/id *objects*
+    are then permuted into place, so integer values stay integers.
+    ``observe(phase, seconds)`` — when given — receives one
+    ``"select"`` and one ``"pivot"`` span.
+    """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     n = hi - lo
     if not 1 <= q <= n:
         raise ConfigurationError(f"k={q} out of range for region [{lo}, {hi})")
+    if observe is not None:
+        t0 = perf_counter()
     region_vals = vals[lo:hi]
     region_ids = ids[lo:hi]
     varr = np.asarray(region_vals, dtype=np.float64)
     kth = n - q
     order = np.argpartition(varr, kth)
     threshold = region_vals[int(order[kth])]
+    if observe is not None:
+        t1 = perf_counter()
+        observe("select", t1 - t0)
     perm = order.tolist()
     if side == "left":
         perm.reverse()
@@ -541,4 +556,6 @@ def _partition_top_numpy(
         j = perm[i]
         vals[lo + i] = region_vals[j]
         ids[lo + i] = region_ids[j]
+    if observe is not None:
+        observe("pivot", perf_counter() - t1)
     return threshold

@@ -138,9 +138,9 @@ class ShardedQMaxEngine(QMaxBase):
         Seed of the flow → shard multiply-shift hash.
     kernel:
         Maintenance kernel name forwarded to every qmax shard
-        (``stepwise``/``numpy``/``native``, see
-        :mod:`repro.core.kernels`); each worker resolves it locally, so
-        a missing extension degrades per process and
+        (``stepwise``/``numpy``, see :mod:`repro.core.kernels`); each
+        worker resolves it locally, so a worker without NumPy degrades
+        to ``stepwise`` and
         :meth:`shard_stats` reports what each shard actually runs.
         Only valid with ``backend="qmax"``.
     instrument:

@@ -179,8 +179,8 @@ def _shard_stats(
     }
     kern = getattr(backend, "kernel", None)
     if kern is not None:
-        # Resolved in *this* process — a worker without the native
-        # extension reports its actual fallback, not the request.
+        # Resolved in *this* process — a worker without NumPy reports
+        # its actual fallback, not the request.
         stats["kernel"] = kern
     for attr in ("admitted", "rejected", "compactions"):
         value = getattr(backend, attr, None)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.reporting import emit, emit_series
+from repro.bench.runner import Measurement
 from repro.bench.trajectory import TrajectoryStore
 from repro.errors import TrajectoryError
 
@@ -59,6 +60,22 @@ class TestEmit:
         )
         assert row.metrics[0].name == "qmax-vs-heap"
         assert row.metrics[0].unit == "ratio"
+
+    def test_measurement_halfwidth_is_recorded(self, tmp_path):
+        # Benchmarks pass a Measurement's CI half-width with each
+        # metric; the stored row must keep it rather than a zero.
+        m = Measurement("numpy", 1_000_000, (0.5, 0.6, 0.7))
+        mean, half = m.mpps_ci
+        store = TrajectoryStore(tmp_path)
+        emit(
+            "abl_kernel", "T", ["kernel", "MPPS"], [["numpy", mean]],
+            metrics=[{"name": "numpy", "value": mean, "unit": "mpps",
+                      "ci_halfwidth": half}],
+            store=store, git_sha=SHA,
+        )
+        (stored,) = store.rows()
+        assert half > 0.0
+        assert stored.metrics[0].ci_halfwidth == half
 
     def test_no_value_columns_is_an_error(self, tmp_path):
         with pytest.raises(TrajectoryError, match="no value columns"):

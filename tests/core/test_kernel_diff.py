@@ -1,25 +1,23 @@
 """Differential fuzz: one-shot kernels must be exactly interchangeable.
 
-The one-shot kernels (``StepwiseKernel`` instance, ``numpy``,
-``native``) all run the same drive schedule — maintenance once per
-iteration boundary — so they must be *mutually exact*: after every
-drive the retained value-multiset, the admission threshold Ψ, and the
-admitted/rejected counters agree bit-for-bit, because the drive's
-outcome is rank-determined (which value-copies sit where may differ,
-which values are retained may not).  The stepwise instance is the
+The one-shot kernels (``StepwiseKernel`` instance, ``numpy``) run the
+same drive schedule — maintenance once per iteration boundary — so
+they must be *mutually exact*: after every drive the retained
+value-multiset, the admission threshold Ψ, and the admitted/rejected
+counters agree bit-for-bit, because the drive's outcome is
+rank-determined (which value-copies sit where may differ, which values
+are retained may not).  The stepwise instance is the
 semantics anchor (it runs the very generators the deamortized schedule
-steps through), so agreement with it proves the fast kernels drop-in.
+steps through), so agreement with it proves the fast kernel drop-in.
 
-The suite runs on whatever stack the host has: the numpy/native
-kernels exercise their ndarray paths when NumPy is installed and their
-list paths when it is not (``use_numpy=False`` covers the list paths
-explicitly on NumPy hosts).
+The suite runs on whatever stack the host has: the numpy kernel
+exercises its ndarray path, and ``use_numpy=False`` covers its list
+path.
 
 Streams deliberately include the historical trouble spots: heavy
 value ties (threshold-straddling [=Ψ] blocks), duplicate ids,
-u63/u64-boundary ids (2**63 ± 1, 2**64 - 1 — the native kernel moves
-ids through a uint64 permutation buffer), q ≈ n (degenerate g), and
-q = 1.
+u63/u64-boundary ids (2**63 ± 1, 2**64 - 1), q ≈ n (degenerate g),
+and q = 1.
 """
 
 from __future__ import annotations
@@ -30,18 +28,15 @@ from collections import Counter
 import pytest
 
 from repro._compat import HAVE_NUMPY
-from repro.core.kernels import StepwiseKernel, kernel_available
+from repro.core.kernels import StepwiseKernel
 from repro.core.qmax import QMax
 
 from tests.conftest import top_values, value_multiset
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-needs_native = pytest.mark.skipif(
-    not kernel_available("native"), reason="native extension not built"
-)
 
-#: Ids at the unsigned-64 boundaries the native permutation buffer and
-#: the engine's token encoding must carry through unchanged.
+#: Ids at the unsigned-64 boundaries the engine's token encoding must
+#: carry through unchanged.
 EDGE_IDS = (0, 1, 2**31, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
 
 
@@ -69,9 +64,6 @@ def _kernel_specs():
     if HAVE_NUMPY:
         specs.append(("numpy", lambda: "numpy", {}))
         specs.append(("numpy-list", lambda: "numpy", {"use_numpy": False}))
-    if kernel_available("native"):
-        specs.append(("native", lambda: "native", {}))
-        specs.append(("native-list", lambda: "native", {"use_numpy": False}))
     return specs
 
 
@@ -155,9 +147,7 @@ def test_batch_paths_match_scalar_path():
     stream = _stream(seed=99, n=6000, tie_bias=0.4)
     ids = [i for i, _ in stream]
     vals = [v for _, v in stream]
-    for spec in ("numpy", "native") if kernel_available("native") else (
-        "numpy",
-    ):
+    for spec in ("numpy",):
         scalar = QMax(100, 0.5, kernel=spec)
         for item_id, val in stream:
             scalar.add(item_id, val)
@@ -210,18 +200,18 @@ def test_one_shot_top_q_matches_deamortized():
 
 
 def test_fallback_stats_stay_truthful(monkeypatch):
-    # Force the native probe off: QMax(kernel="native") must still
-    # work and must report what actually ran.
-    from repro.core.kernels import native as native_mod
+    # Hide NumPy from the kernel lookup: QMax(kernel="numpy") must
+    # still work and must report what actually ran.
+    from repro.core import kernels
 
-    monkeypatch.setattr(native_mod, "_native", None)
-    s = QMax(64, kernel="native")
+    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+    s = QMax(64, kernel="numpy")
     stream = _stream(seed=11, n=1500, tie_bias=0.3)
     for item_id, val in stream:
         s.add(item_id, val)
     st = s.stats()
-    assert st["kernel_requested"] == "native"
-    assert st["kernel"] == ("numpy" if HAVE_NUMPY else "stepwise")
+    assert st["kernel_requested"] == "numpy"
+    assert st["kernel"] == "stepwise"
     assert value_multiset(s.query()) == top_values(
         [v for _, v in stream], 64
     )

@@ -1,4 +1,4 @@
-"""Tests for the maintenance-kernel registry and its QMax wiring."""
+"""Tests for the maintenance-kernel lookup and its QMax wiring."""
 
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ from repro.core import kernels
 from repro.core.kernels import (
     DEFAULT_KERNEL,
     KERNEL_ENV,
+    KERNEL_NAMES,
     StepwiseKernel,
     get_kernel,
     kernel_available,
-    kernel_names,
-    register_kernel,
     resolve_kernel,
 )
 from repro.core.qmax import QMax
@@ -25,22 +24,22 @@ from repro.obs import MetricsRegistry
 from tests.conftest import top_values, value_multiset
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-needs_native = pytest.mark.skipif(
-    not kernel_available("native"), reason="native extension not built"
-)
+
+
+@pytest.fixture
+def hide_numpy(monkeypatch):
+    """Make the kernel lookup see a host without NumPy."""
+    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
 
 
 # ----------------------------------------------------------------------
-# Registry semantics.
+# Lookup semantics.
 # ----------------------------------------------------------------------
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = kernel_names()
-        assert "stepwise" in names
-        assert "numpy" in names
-        assert "native" in names
+        assert KERNEL_NAMES == ("stepwise", "numpy")
 
     def test_stepwise_always_available(self):
         assert kernel_available("stepwise")
@@ -53,51 +52,13 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             resolve_kernel("no-such-kernel")
 
-    def test_unavailable_kernel_falls_back(self, caplog):
-        register_kernel(
-            "_test_broken",
-            StepwiseKernel,
-            available=lambda: False,
-            fallback="stepwise",
-        )
-        try:
-            with caplog.at_level("WARNING", logger="repro.core.kernels"):
-                k = get_kernel("_test_broken")
-            assert k.name == "stepwise"
-            assert any(
-                "falling back" in rec.message for rec in caplog.records
-            )
-        finally:
-            kernels._REGISTRY.pop("_test_broken", None)
-
-    def test_require_refuses_fallback(self):
-        register_kernel(
-            "_test_broken",
-            StepwiseKernel,
-            available=lambda: False,
-            fallback="stepwise",
-        )
-        try:
-            with pytest.raises(ConfigurationError, match="not available"):
-                get_kernel("_test_broken", require=True)
-        finally:
-            kernels._REGISTRY.pop("_test_broken", None)
-
-    def test_fallback_cycle_detected(self):
-        register_kernel(
-            "_test_a", StepwiseKernel,
-            available=lambda: False, fallback="_test_b",
-        )
-        register_kernel(
-            "_test_b", StepwiseKernel,
-            available=lambda: False, fallback="_test_a",
-        )
-        try:
-            with pytest.raises(ConfigurationError):
-                get_kernel("_test_a")
-        finally:
-            kernels._REGISTRY.pop("_test_a", None)
-            kernels._REGISTRY.pop("_test_b", None)
+    def test_unavailable_kernel_falls_back(self, caplog, hide_numpy):
+        with caplog.at_level("WARNING", logger="repro.core.kernels"):
+            k = get_kernel("numpy")
+        assert k.name == "stepwise"
+        assert not kernel_available("numpy")
+        messages = [rec.message for rec in caplog.records]
+        assert len(messages) == 1 and "falling back" in messages[0]
 
     def test_resolve_env(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "stepwise")
@@ -118,14 +79,28 @@ class TestRegistry:
         assert kernel_available("numpy")
         assert get_kernel("numpy").name == "numpy"
 
-    def test_native_falls_back_when_missing(self):
-        # Whatever this host has, get_kernel("native") must not raise
-        # without require=True, and must report its real name.
-        k = get_kernel("native")
-        if kernel_available("native"):
-            assert k.name == "native"
-        else:
-            assert k.name in ("numpy", "stepwise")
+    def test_c_kernel_name_refused_and_numpy_degrades(
+        self, monkeypatch, hide_numpy
+    ):
+        # The compiled kernel is gone: "native" is an unknown name, not
+        # a silent alias, whether asked for in code or via the
+        # environment.  NumPy's absence still degrades "numpy" to the
+        # stepwise reference, and stats() says which one ran.
+        with pytest.raises(ConfigurationError, match="stepwise, numpy"):
+            QMax(64, kernel="native")
+        monkeypatch.setenv(KERNEL_ENV, "native")
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            QMax(64)
+        monkeypatch.setenv(KERNEL_ENV, "numpy")
+        s = QMax(64)
+        for i in range(5000):
+            s.add(i, float(i))
+        st = s.stats()
+        assert st["kernel"] == "stepwise"
+        assert st["kernel_requested"] == "numpy"
+        assert value_multiset(s.query()) == [
+            float(v) for v in range(4999, 4935, -1)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +151,7 @@ class TestQMaxResolution:
     def test_env_kernel_yields_to_step_budget_select(self, monkeypatch):
         # deterministic_select was requested in code; an env-level
         # kernel preference must not silently change its semantics.
-        monkeypatch.setenv(KERNEL_ENV, "numpy" if HAVE_NUMPY else "native")
+        monkeypatch.setenv(KERNEL_ENV, "numpy")
         s = QMax(64, deterministic_select=True)
         assert s.kernel == "stepwise"
         assert s.stats()["select"] == "bfprt"
@@ -188,22 +163,13 @@ class TestQMaxResolution:
         with pytest.raises(ConfigurationError, match="mutually exclusive"):
             QMax(64, kernel=spec, pivot_sample=9)
 
-    def test_stats_reports_resolved_not_requested(self):
-        # Inject an unavailable kernel that falls back to stepwise and
-        # verify stats() never claims the request ran.
-        register_kernel(
-            "_test_missing",
-            StepwiseKernel,
-            available=lambda: False,
-            fallback="stepwise",
-        )
-        try:
-            s = QMax(64, kernel="_test_missing")
-            st = s.stats()
-            assert st["kernel_requested"] == "_test_missing"
-            assert st["kernel"] == "stepwise"
-        finally:
-            kernels._REGISTRY.pop("_test_missing", None)
+    def test_stats_reports_resolved_not_requested(self, hide_numpy):
+        # An unavailable kernel falls back to stepwise; stats() must
+        # never claim the request ran.
+        s = QMax(64, kernel="numpy")
+        st = s.stats()
+        assert st["kernel_requested"] == "numpy"
+        assert st["kernel"] == "stepwise"
 
     @needs_numpy
     def test_stats_batch_numpy_truthful(self):
@@ -223,7 +189,6 @@ class TestQMaxResolution:
 def _one_shot_specs():
     specs = [pytest.param(StepwiseKernel(), id="stepwise-instance")]
     specs.append(pytest.param("numpy", id="numpy", marks=needs_numpy))
-    specs.append(pytest.param("native", id="native", marks=needs_native))
     return specs
 
 
@@ -269,8 +234,6 @@ def _trace_modes():
     modes = [pytest.param(None, "stepwise", id="deamortized")]
     modes.append(pytest.param(
         "numpy", "numpy", id="numpy", marks=needs_numpy))
-    modes.append(pytest.param(
-        "native", "native", id="native", marks=needs_native))
     return modes
 
 
@@ -327,10 +290,6 @@ def _kernel_instances():
         from repro.core.kernels import NumpyKernel
 
         out.append(pytest.param(NumpyKernel(), id="numpy"))
-    if kernel_available("native"):
-        from repro.core.kernels import NativeKernel
-
-        out.append(pytest.param(NativeKernel(), id="native"))
     return out
 
 

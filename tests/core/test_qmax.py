@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._compat import HAVE_NUMPY
-from repro.core.amortized import AmortizedQMax, VectorQMax
+from repro.core.amortized import AmortizedQMax
 from repro.core.qmax import QMax
 from repro.errors import ConfigurationError
 
@@ -20,7 +20,7 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 ALL_VARIANTS = [
     pytest.param(lambda q, g: QMax(q, g), id="deamortized"),
     pytest.param(lambda q, g: AmortizedQMax(q, g), id="amortized"),
-    pytest.param(lambda q, g: VectorQMax(q, g), id="numpy",
+    pytest.param(lambda q, g: QMax(q, g, kernel="numpy"), id="numpy",
                  marks=needs_numpy),
 ]
 
@@ -230,18 +230,21 @@ class TestAmortizedSpecific:
 
 @needs_numpy
 class TestVectorSpecific:
+    """The vectorised batch path: ``QMax(kernel="numpy")`` fed NumPy
+    columns through ``add_many_array``."""
+
     def test_add_batch_matches_scalar(self, rng):
         import numpy as np
 
         values = np.array([rng.random() for _ in range(5000)])
-        scalar = VectorQMax(50, gamma=0.25)
+        scalar = QMax(50, 0.25, kernel="numpy")
         for i, v in enumerate(values):
             scalar.add(i, float(v))
-        batched = VectorQMax(50, gamma=0.25)
+        batched = QMax(50, 0.25, kernel="numpy")
         ids = np.arange(len(values))
         for start in range(0, len(values), 701):
             chunk = slice(start, start + 701)
-            batched.add_batch(ids[chunk], values[chunk])
+            batched.add_many_array(ids[chunk], values[chunk])
         assert value_multiset(batched.query()) == pytest.approx(
             value_multiset(scalar.query())
         )
@@ -249,9 +252,9 @@ class TestVectorSpecific:
     def test_add_batch_rejects_mismatched_lengths(self):
         import numpy as np
 
-        qmax = VectorQMax(5)
+        qmax = QMax(5, kernel="numpy")
         with pytest.raises(ConfigurationError):
-            qmax.add_batch([1, 2], np.array([1.0]))
+            qmax.add_many_array([1, 2], np.array([1.0]))
 
 
 class TestBatchEvictionDraining:

@@ -30,7 +30,7 @@ from repro._compat import HAVE_NUMPY
 from repro.baselines.heap import HeapQMax
 from repro.baselines.skiplist import SkipListQMax
 from repro.baselines.sortedlist import SortedListQMax
-from repro.core.amortized import AmortizedQMax, VectorQMax
+from repro.core.amortized import AmortizedQMax
 from repro.core.exponential_decay import ExponentialDecayQMax
 from repro.core.hierarchical import (
     BufferedSlidingQMax,
@@ -179,7 +179,7 @@ def _factories():
         id="qmax-numpy", marks=needs_numpy,
     ))
     params.append(pytest.param(
-        False, lambda q, g: VectorQMax(q, g),
+        False, lambda q, g: QMax(q, g, kernel="numpy"),
         id="vector", marks=needs_numpy,
     ))
     return params
