@@ -24,9 +24,9 @@ OBS_SUBSET = benchmarks/bench_fig04_gamma.py \
              benchmarks/bench_fig05_vs_q.py \
              benchmarks/bench_tab01_speedups.py
 
-.PHONY: test bench bench-fast bench-subset bench-report bench-gate \
-        bench-overhead bench-wallclock examples serve-demo \
-        fleet-demo lint all outputs
+.PHONY: test bench bench-fast bench-subset print-bench-subset \
+        bench-report bench-gate bench-overhead bench-wallclock \
+        examples serve-demo fleet-demo lint all outputs
 
 test:
 	$(PYTEST) tests/
@@ -39,6 +39,9 @@ bench-fast:  ## benchmarks at a tenth of the default workload sizes
 
 bench-subset:  ## the fast gate subset; records trajectory rows
 	REPRO_SCALE=0.1 $(PYTEST) $(BENCH_SUBSET) --benchmark-disable -s
+
+print-bench-subset:  ## the subset's file list, for CI's bench-gate job
+	@echo $(BENCH_SUBSET)
 
 bench-report:  ## render the recorded MPPS-over-commits trajectory
 	$(REPRO) bench report

@@ -7,8 +7,8 @@ process you can run, feed, and query:
   factory (plain q-MAX, sliding window, or the sharded engine).
 * :mod:`repro.service.ingest` — asynchronous ingest: NetFlow v5 over
   UDP, length-prefixed :mod:`repro.netwide.wire` report frames over
-  TCP, coalesced into ``add_many`` batches with stall-not-drop
-  backpressure.
+  TCP, coalesced into ``add_many_array`` / ``add_many`` batches with
+  stall-not-drop backpressure.
 * :mod:`repro.service.rpc` — the JSON-over-TCP query RPC (``top``,
   ``stats``, ``snapshot``, ``reset``, ``health``) and its client.
 * :mod:`repro.service.snapshot` — atomic-rename checkpoints of

@@ -6,7 +6,7 @@ construction (:class:`~repro.errors.ConfigurationError`) so a daemon
 never comes up half-configured.  :meth:`ServiceConfig.build_engine`
 is the backend plug: the daemon only ever talks to the
 :class:`~repro.core.interface.QMaxBase` surface (``add_many`` /
-``items`` / ``query`` / ``reset`` and, where present, ``close`` /
+``add_many_array`` / ``items`` / ``query`` / ``reset`` and, where present, ``close`` /
 ``take_evicted``), so anything implementing it slots in.
 """
 
@@ -49,7 +49,8 @@ class ServiceConfig:
     batch_max, flush_interval:
         Ingested records are coalesced until ``batch_max`` records are
         pending or ``flush_interval`` seconds have passed, then fed to
-        the engine via one ``add_many`` call.
+        the engine in one flush: ``add_many_array`` per NetFlow array
+        chunk, ``add_many`` per run of list records.
     queue_capacity:
         Pending-record bound.  At capacity, ingest *stalls* (UDP stops
         reading, datagrams queue in the kernel buffer; TCP stops

@@ -17,7 +17,7 @@ Lifecycle::
                                  # engine.close()
 
 ``stop`` is what SIGTERM triggers via :func:`serve`: sources stop
-reading, the feeder drains pending records through ``add_many``, a
+reading, the feeder drains pending records into the engine, a
 final snapshot is written, and a closeable engine (the sharded one) is
 drained via ``close()`` so nothing in flight is silently dropped.
 :meth:`MeasurementDaemon.kill` is the crash path — no drain, no final

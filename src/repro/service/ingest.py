@@ -1,27 +1,34 @@
-"""Asynchronous ingest: datagrams and frames → ``add_many`` batches.
+"""Asynchronous ingest: datagrams and frames → engine batches.
 
 Three pieces, all living on the daemon's event loop:
 
 * :class:`BatchFeeder` — the single pending buffer between the network
-  and the engine.  Sources append decoded ``(id, value)`` records; a
-  flush task feeds the engine via one ``add_many`` per batch (the
-  batch-first hot path from PR 1).  The buffer is bounded by
-  ``capacity``: when it fills, sources are told to *stall*, and are
-  resumed by the flush that drains the buffer.  Nothing is ever
-  dropped for backpressure — mirroring the parallel subsystem's
-  stall-not-drop ring semantics — and the only drops anywhere in
-  ingest are malformed inputs, each one counted.
+  and the engine.  Sources append decoded ``(id, value)`` columns; the
+  feeder keeps them as chunks in arrival order (consecutive list puts
+  share one chunk), and a flush task feeds each chunk to the engine:
+  an array chunk through ``add_many_array`` — the engine's vectorized
+  Ψ filter rejects the records that cannot enter the top-q without
+  touching them one by one — and a list chunk through ``add_many``.
+  The buffer is bounded by ``capacity`` records: when it fills,
+  sources are told to *stall*, and are resumed by the flush that
+  drains the buffer.  Nothing is ever dropped for backpressure —
+  mirroring the parallel subsystem's stall-not-drop ring semantics —
+  and the only drops anywhere in ingest are malformed inputs, each one
+  counted.
 * :class:`NetFlowUdpSource` — NetFlow v5 datagrams.  Reads via
   ``loop.add_reader`` on a plain socket so that stalling is literal:
   the reader is removed, datagrams queue in the kernel receive buffer
   (sized generously) exactly as they would in a NIC ring, and reading
-  resumes when the feeder drains.  Each wake-up decodes every drained
-  datagram with the columnar
-  :func:`~repro.traffic.netflow.decode_src_octets` and makes one
-  ``put``.
+  resumes when the feeder drains.  Each wake-up drains the socket
+  through one :func:`~repro.traffic.netflow.decode_columns` call,
+  which checks every datagram's header, counts the malformed ones and
+  decodes all valid record areas at once into ``src``/``octets``
+  columns (NumPy arrays, or lists on the pure-Python stack), then
+  makes one ``put``.
 * :class:`ReportTcpSource` — length-prefixed binary
-  :mod:`repro.netwide.wire` report frames.  Stalling is TCP flow
-  control: the coroutine simply stops reading until there is room.
+  :mod:`repro.netwide.wire` report frames, decoded into list columns.
+  Stalling is TCP flow control: the coroutine simply stops reading
+  until there is room.
 """
 
 from __future__ import annotations
@@ -30,10 +37,11 @@ import asyncio
 import logging
 import socket
 import struct
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
+from repro._compat import HAVE_NUMPY, np
 from repro.core.interface import QMaxBase
-from repro.errors import NetFlowDecodeError, WireFormatError
+from repro.errors import WireFormatError
 from repro.netwide.wire import Report, from_bytes
 from repro.obs import SIZE_BUCKETS, resolve_registry
 # decode_packet is not called here; it stays bound in this module as the
@@ -41,8 +49,8 @@ from repro.obs import SIZE_BUCKETS, resolve_registry
 # perfbench/traced.py wraps it by this name.
 from repro.traffic.netflow import (  # noqa: F401
     FlowRecord,
+    decode_columns,
     decode_packet,
-    decode_src_octets,
 )
 from repro.types import ItemId, Value
 
@@ -90,7 +98,7 @@ def items_from_report(
 
 
 class BatchFeeder:
-    """Coalesce ingested records and drive ``engine.add_many``.
+    """Coalesce ingested records and drive the engine's batch paths.
 
     Single-threaded by design: every method runs on the daemon's event
     loop, so no locking is needed.  ``put`` is the synchronous producer
@@ -111,8 +119,10 @@ class BatchFeeder:
         self.batch_max = batch_max
         self.flush_interval = flush_interval
         self.capacity = capacity
-        self._ids: List[ItemId] = []
-        self._vals: List[Value] = []
+        # Pending (ids, vals) columns in arrival order: NumPy arrays
+        # from the UDP decoder, lists from everything else.
+        self._chunks: List[Tuple[Sequence[ItemId], Sequence[Value]]] = []
+        self._pending = 0
         self.records_in = 0
         self.records_out = 0
         self.value_sum = 0.0
@@ -126,12 +136,12 @@ class BatchFeeder:
         self._stopping = False
         registry = resolve_registry(metrics)
         if registry.enabled:
-            # Coalescing quality: records per add_many call.  The
+            # Coalescing quality: records per flush.  The
             # cumulative counters stay plain attributes; callback
             # gauges read them at snapshot time only.
             self._obs_batch = registry.histogram(
                 "repro_feeder_batch_records",
-                "records coalesced into one engine add_many call",
+                "records coalesced into one flush to the engine",
                 buckets=SIZE_BUCKETS,
             )
             for attr, name, help_text in (
@@ -157,24 +167,35 @@ class BatchFeeder:
 
     @property
     def pending(self) -> int:
-        return len(self._ids)
+        return self._pending
 
     def put(self, ids: Sequence[ItemId], vals: Sequence[Value]) -> bool:
         """Append records.  Returns False when the buffer just reached
         capacity — the caller must pause and wait for its resume
-        callback (registered via :meth:`on_room`)."""
-        self._ids.extend(ids)
-        self._vals.extend(vals)
-        self.records_in += len(ids)
-        if len(self._ids) >= self.batch_max:
+        callback (registered via :meth:`on_room`).
+
+        NumPy columns are kept as they are, one chunk each; any other
+        sequences extend the newest chunk if it holds lists."""
+        chunks = self._chunks
+        if HAVE_NUMPY and isinstance(ids, np.ndarray):
+            chunks.append((ids, vals))
+        elif chunks and type(chunks[-1][0]) is list:
+            chunks[-1][0].extend(ids)
+            chunks[-1][1].extend(vals)
+        else:
+            chunks.append((list(ids), list(vals)))
+        n = len(ids)
+        self._pending += n
+        self.records_in += n
+        if self._pending >= self.batch_max:
             self._wake.set()
-        if len(self._ids) >= self.capacity:
+        if self._pending >= self.capacity:
             if self._room.is_set():
                 self._room.clear()
                 self.stalls += 1
                 _LOG.debug(
                     "feeder at capacity (%d records); stalling sources",
-                    len(self._ids),
+                    self._pending,
                 )
             return False
         return True
@@ -201,19 +222,28 @@ class BatchFeeder:
         )
 
     def flush_now(self) -> None:
-        """Synchronously feed everything pending into the engine."""
-        if not self._ids:
+        """Synchronously feed everything pending into the engine, chunk
+        by chunk in arrival order."""
+        if not self._pending:
             return
-        ids, vals = self._ids, self._vals
-        self._ids, self._vals = [], []
-        self._engine.add_many(ids, vals)
-        self.records_out += len(ids)
+        chunks, n = self._chunks, self._pending
+        self._chunks, self._pending = [], 0
+        engine = self._engine
+        volume = 0.0
+        for ids, vals in chunks:
+            if type(ids) is list:
+                engine.add_many(ids, vals)
+                volume += sum(vals)
+            else:
+                engine.add_many_array(ids, vals)
+                volume += float(vals.sum())
+        self.records_out += n
         # Total ingested value volume: what the fleet's share-of-total
         # heavy-hitter threshold is measured against.
-        self.value_sum += sum(vals)
+        self.value_sum += volume
         self.batches += 1
         if self._obs_batch is not None:
-            self._obs_batch.observe(len(ids))
+            self._obs_batch.observe(n)
         if not self._room.is_set():
             self._room.set()
             for callback in self._resume_callbacks:
@@ -221,7 +251,7 @@ class BatchFeeder:
 
     async def _run(self) -> None:
         while True:
-            if self._stopping and not self._ids:
+            if self._stopping and not self._pending:
                 return
             try:
                 await asyncio.wait_for(
@@ -298,36 +328,36 @@ class NetFlowUdpSource:
         return self._sock is not None and not self._reading
 
     def _on_readable(self) -> None:
-        """Drain the socket, then hand the feeder one coalesced batch.
+        """Drain the socket, decode the wake-up's datagrams in one call,
+        then hand the feeder one coalesced batch.
 
         Draining stops early once the batch would fill the feeder's
         free room, so the buffer overshoots its capacity by less than
         one datagram, as it would with one ``put`` per datagram.
+        Malformed datagrams are the one legitimate drop: garbage
+        input, counted.
         """
-        ids: List[ItemId] = []
-        vals: List[Value] = []
         room = self._feeder.capacity - self._feeder.pending
-        for _ in range(_DRAIN_PER_WAKE):
-            try:
-                data = self._sock.recv(_MAX_DATAGRAM)
-            except OSError:  # drained (BlockingIOError) or socket error
-                break
-            self.datagrams += 1
-            try:
-                more_ids, more_vals = decode_src_octets(data)
-            except NetFlowDecodeError:
-                # The one legitimate drop: garbage input, counted.
-                self.malformed += 1
-                continue
-            ids += more_ids
-            vals += more_vals
-            if len(ids) >= room:
-                break
-        if not ids:
+        ids, vals, malformed = decode_columns(self._drain(), room)
+        self.malformed += malformed
+        n = len(ids)
+        if not n:
             return
-        self.records += len(ids)
+        self.records += n
         if not self._feeder.put(ids, vals):
             self._pause()
+
+    def _drain(self) -> Iterator[bytes]:
+        """The datagrams waiting on the socket, at most
+        ``_DRAIN_PER_WAKE``, read as the decoder asks for them."""
+        recv = self._sock.recv
+        for _ in range(_DRAIN_PER_WAKE):
+            try:
+                data = recv(_MAX_DATAGRAM)
+            except OSError:  # drained (BlockingIOError) or socket error
+                return
+            self.datagrams += 1
+            yield data
 
     def _pause(self) -> None:
         if self._reading:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro._compat import HAVE_NUMPY, np
 from repro.errors import ConfigurationError, NetFlowDecodeError
 
 #: NetFlow v5 constants.
@@ -23,6 +24,8 @@ VERSION = 5
 MAX_RECORDS_PER_PACKET = 30
 
 _HEADER = struct.Struct("!HHIIIIBBH")
+#: The header's first two fields: version and record count.
+_VERSION_COUNT = struct.Struct("!HH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
 #: A record seen through only its two ranked fields: src_ip at offset
 #: 0 and octets at offset 20.
@@ -30,6 +33,14 @@ _SRC_OCTETS = struct.Struct("!I16xI24x")
 
 assert _HEADER.size == 24
 assert _RECORD.size == _SRC_OCTETS.size == 48
+
+#: :data:`_SRC_OCTETS` as a NumPy record: one row per 48-byte record.
+_SRC_OCTETS_DTYPE = np.dtype({
+    "names": ["src", "octets"],
+    "formats": [">u4", ">u4"],
+    "offsets": [0, 20],
+    "itemsize": _RECORD.size,
+}) if HAVE_NUMPY else None
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ def _record_area(data: bytes) -> memoryview:
     """Validate a v5 packet's header and return its record area.
 
     The one validation path shared by :func:`decode_packet` and
-    :func:`decode_src_octets`.  The returned view holds exactly the
+    :func:`decode_columns`.  The returned view holds exactly the
     ``count`` records the header announces.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -127,7 +138,7 @@ def _record_area(data: bytes) -> memoryview:
             f"truncated NetFlow header: need {_HEADER.size} bytes, "
             f"got {len(data)}"
         )
-    version, count = _HEADER.unpack_from(data)[:2]
+    version, count = _VERSION_COUNT.unpack_from(data)
     if version != VERSION:
         raise NetFlowDecodeError(
             f"unsupported NetFlow version {version}"
@@ -167,19 +178,52 @@ def decode_packet(data: bytes) -> List[FlowRecord]:
     ]
 
 
-def decode_src_octets(data: bytes) -> Tuple[List[int], List[float]]:
-    """Decode one v5 export packet straight into ``(ids, vals)``
-    columns: ``src_ip`` and ``float(octets)`` per record.
+def decode_columns(
+    datagrams: Iterable[bytes], limit: Optional[int] = None,
+) -> Tuple[Sequence[int], Sequence[float], int]:
+    """Decode a run of v5 datagrams straight into ``(ids, vals,
+    malformed)``: the ``src_ip`` and ``float(octets)`` columns of every
+    record, in arrival order, and the number of datagrams rejected.
 
-    Equal to ``items_from_flow_records(decode_packet(data))`` and
-    rejecting exactly what :func:`decode_packet` rejects, but it
-    unpacks only the two ranked fields and builds no
-    :class:`FlowRecord` — whose range checks cannot fire on fields
-    read from fixed-width unsigned wire slots.  This is the daemon's
-    UDP hot path.
+    Each datagram's header is checked by the same validation as
+    :func:`decode_packet`; a datagram that fails it is counted in
+    ``malformed`` and skipped.  The columns equal the concatenation of
+    ``items_from_flow_records(decode_packet(d))`` over the accepted
+    datagrams, but no :class:`FlowRecord` is built: the valid record
+    areas are joined and unpacked in one call — one ``np.frombuffer``
+    (columns are ``uint64`` ids and ``float64`` values), or on the
+    pure-Python stack one ``iter_unpack`` (columns are lists).
+
+    With ``limit``, no further datagram is taken from ``datagrams``
+    once the accepted records reach it, so a caller reading a socket
+    overshoots its room by less than one datagram.  This is the
+    daemon's UDP hot path: one call per reader wake-up.
     """
-    pairs = list(_SRC_OCTETS.iter_unpack(_record_area(data)))
-    return [p[0] for p in pairs], [float(p[1]) for p in pairs]
+    areas: List[memoryview] = []
+    malformed = 0
+    size = 0
+    stop = None if limit is None else limit * _RECORD.size
+    for data in datagrams:
+        try:
+            area = _record_area(data)
+        except NetFlowDecodeError:
+            malformed += 1
+            continue
+        areas.append(area)
+        size += len(area)
+        if stop is not None and size >= stop:
+            break
+    blob = b"".join(areas)
+    if HAVE_NUMPY:
+        rec = np.frombuffer(blob, dtype=_SRC_OCTETS_DTYPE)
+        return (rec["src"].astype(np.uint64),
+                rec["octets"].astype(np.float64), malformed)
+    ids: List[int] = []
+    vals: List[float] = []
+    for src, octets in _SRC_OCTETS.iter_unpack(blob):
+        ids.append(src)
+        vals.append(float(octets))
+    return ids, vals, malformed
 
 
 def decode_stream(packets: Iterable[bytes]) -> List[FlowRecord]:

@@ -4,9 +4,11 @@
 importing :mod:`repro.cli`, :mod:`repro.service.daemon` and
 :mod:`repro.fleet.coordinator`.  None of those may load scipy (only
 the benchmark Student-t quantile uses it), networkx (only the topology
-simulation uses it) or the shard engine and its dependencies (only a
-``--shards > 1`` daemon builds one).  Each check runs in a fresh
-interpreter, because this test process has imported everything.
+simulation uses it), the shard engine and its dependencies (only a
+``--shards > 1`` daemon builds one) or the trace generators and pcap
+codecs beside :mod:`repro.traffic.netflow` (only the offline commands
+use them).  Each check runs in a fresh interpreter, because this test
+process has imported everything.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ FORBIDDEN = (
     "repro.parallel.worker",
     "repro.parallel.shm_ring",
     "repro.apps",
+    "repro.traffic.synthetic",
+    "repro.traffic.cache_trace",
+    "repro.traffic.pcap",
+    "repro.traffic.headers",
 )
 
 
@@ -70,16 +76,22 @@ def test_serving_closure_excludes_unused_stacks():
 def test_lazy_package_exports_still_resolve():
     import repro.netwide
     import repro.parallel
+    import repro.traffic
     from repro.netwide import NetworkTopology
     from repro.parallel import ShardedQMaxEngine, merge_top_items
+    from repro.traffic import generate_packets, read_pcap
     from repro.netwide.topology import NetworkTopology as direct_topology
     from repro.parallel.engine import ShardedQMaxEngine as direct_engine
     from repro.parallel.merge import merge_top_items as direct_merge
+    from repro.traffic.pcap import read_pcap as direct_read_pcap
+    from repro.traffic.synthetic import generate_packets as direct_generate
 
     assert NetworkTopology is direct_topology
     assert ShardedQMaxEngine is direct_engine
     assert merge_top_items is direct_merge
-    for package in (repro.netwide, repro.parallel):
+    assert generate_packets is direct_generate
+    assert read_pcap is direct_read_pcap
+    for package in (repro.netwide, repro.parallel, repro.traffic):
         assert set(package.__all__) <= set(dir(package))
         for name in package.__all__:
             assert getattr(package, name) is not None

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import random
 import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._compat import HAVE_NUMPY, np
 from repro.errors import NetFlowDecodeError, ReproError
 from repro.errors import ConfigurationError
+from repro.traffic import netflow
 from repro.traffic.netflow import (
     MAX_RECORDS_PER_PACKET,
     FlowRecord,
+    decode_columns,
     decode_packet,
-    decode_src_octets,
     decode_stream,
     encode_packets,
     records_from_sample,
@@ -183,30 +186,104 @@ def test_roundtrip_property(n, seed):
 _EMPTY_PACKET = struct.pack("!HHIIIIBBH", 5, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _outcome(decode, data):
-    """What one decoder makes of ``data``: its columns, or the message
-    of the :class:`NetFlowDecodeError` it raised.  Any other exception
-    propagates and fails the test."""
-    try:
-        return decode(data)
-    except NetFlowDecodeError as exc:
-        return ("rejected", str(exc))
+def _columns(datagrams, limit=None):
+    """``decode_columns`` on every stack this interpreter has — NumPy
+    (when installed) and pure Python, NumPy hidden — asserting the
+    stacks agree; the columns come back as lists."""
+    datagrams = list(datagrams)
+    outcomes = []
+    for numpy_on in ((True, False) if HAVE_NUMPY else (False,)):
+        with mock.patch.object(netflow, "HAVE_NUMPY", numpy_on):
+            ids, vals, malformed = decode_columns(datagrams, limit)
+        if numpy_on:
+            assert ids.dtype == np.uint64 and vals.dtype == np.float64
+            ids, vals = ids.tolist(), vals.tolist()
+        assert type(ids) is list and type(vals) is list
+        assert all(type(i) is int for i in ids)
+        assert all(type(v) is float for v in vals)
+        outcomes.append((ids, vals, malformed))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    return outcomes[0]
 
 
-def _record_level(data):
-    return items_from_flow_records(decode_packet(data))
+def _record_level(datagrams):
+    """The oracle: ``items_from_flow_records(decode_packet(d))``
+    concatenated over the datagrams ``decode_packet`` accepts, and the
+    number it rejects."""
+    ids, vals, malformed = [], [], 0
+    for data in datagrams:
+        try:
+            records = decode_packet(data)
+        except NetFlowDecodeError:
+            malformed += 1
+            continue
+        more_ids, more_vals = items_from_flow_records(records)
+        ids += more_ids
+        vals += more_vals
+    return ids, vals, malformed
 
 
-def _assert_columnar_matches_record_level(data):
-    assert (_outcome(decode_src_octets, data)
-            == _outcome(_record_level, data))
+def _assert_columnar_matches_record_level(*datagrams):
+    assert _columns(datagrams) == _record_level(datagrams)
+
+
+_U32 = st.one_of(st.sampled_from([0, 2**32 - 1]),
+                 st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def _packet(pairs):
+    """One v5 packet of ``(src_ip, octets)`` records; the other fields
+    carry non-zero values the decoder must skip."""
+    records = [
+        FlowRecord(src_ip=src, dst_ip=src ^ 0xFFFFFFFF, src_port=443,
+                   dst_port=65535, proto=17, packets=octets >> 1,
+                   octets=octets, first_ms=0xFFFFFFFF, last_ms=1)
+        for src, octets in pairs
+    ]
+    return (encode_packets(records) or [_EMPTY_PACKET])[0]
+
+
+def _mangle(kind, packet, k):
+    """``packet`` turned into one datagram of the given ``kind``."""
+    if kind == "valid":
+        return packet
+    if kind == "empty":
+        return b""
+    if kind == "short header":
+        return packet[:k % 24]
+    if kind == "wrong version":
+        return struct.pack("!H", 6 + k % 60000) + packet[2:]
+    if kind == "count 31":
+        return (packet[:2] + struct.pack("!H", MAX_RECORDS_PER_PACKET + 1)
+                + packet[4:] + b"\xff" * (48 * 31))
+    if kind == "truncated records":
+        count = max(1, (len(packet) - 24) // 48)
+        needed = 24 + 48 * count
+        body = packet[:2] + struct.pack("!H", count) + packet[4:needed]
+        return body[:24 + k % (needed - 24)]
+    assert kind == "trailing bytes"
+    return packet + bytes([k % 256]) * (1 + k % 47)
+
+
+_DATAGRAM = st.builds(
+    _mangle,
+    st.sampled_from(["valid", "valid", "empty", "short header",
+                     "wrong version", "count 31", "truncated records",
+                     "trailing bytes"]),
+    st.lists(st.tuples(_U32, _U32), max_size=MAX_RECORDS_PER_PACKET).map(
+        _packet),
+    st.integers(min_value=0, max_value=2**16),
+)
+
+_WAKEUP = st.lists(_DATAGRAM, max_size=12)
 
 
 class TestColumnarDecoder:
-    """``decode_src_octets`` ≡ ``items_from_flow_records ∘
-    decode_packet``: the same columns on every packet the record-level
-    path accepts, the same rejection (and message) on every one it
-    rejects."""
+    """``decode_columns`` ≡ ``items_from_flow_records ∘ decode_packet``
+    concatenated over a wake-up's datagrams: the same columns from
+    every datagram the record-level path accepts, one ``malformed``
+    count for every one it rejects — on the NumPy and the pure-Python
+    stack alike."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -219,9 +296,11 @@ class TestColumnarDecoder:
         packets = encode_packets(_random_records(n, seed)) or [_EMPTY_PACKET]
         for packet in packets:
             for data in (packet, packet + trailer):
-                ids, vals = decode_src_octets(data)
-                assert (ids, vals) == _record_level(data)
-                assert all(type(v) is float for v in vals)
+                ids, vals, malformed = _columns([data])
+                assert (ids, vals) == items_from_flow_records(
+                    decode_packet(data))
+                assert malformed == 0
+        _assert_columnar_matches_record_level(*packets)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.one_of(
@@ -250,6 +329,8 @@ class TestColumnarDecoder:
             blob[f % len(blob)] ^= 1 << (f % 8)
         _assert_columnar_matches_record_level(bytes(blob))
         _assert_columnar_matches_record_level(bytes(blob[:cut]))
+        _assert_columnar_matches_record_level(
+            packet, bytes(blob), bytes(blob[:cut]), packet)
 
     @pytest.mark.parametrize("data", [
         "not bytes", None, 5, bytearray(_EMPTY_PACKET),
@@ -257,3 +338,45 @@ class TestColumnarDecoder:
     ], ids=lambda d: type(d).__name__)
     def test_input_types(self, data):
         _assert_columnar_matches_record_level(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wakeup=_WAKEUP)
+    def test_wakeups(self, wakeup):
+        _assert_columnar_matches_record_level(*wakeup)
+
+    def test_u32_boundaries(self):
+        top = 2**32 - 1
+        packet = _packet([(0, top), (top, 0), (top, top), (0, 0)])
+        assert _columns([b"", packet, packet[:30]]) == (
+            [0, top, top, 0], [float(top), 0.0, float(top), 0.0], 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wakeup=_WAKEUP,
+           limit=st.integers(min_value=-1, max_value=4 * 30))
+    @example(wakeup=[_packet([(1, 1)] * 30)] * 2, limit=30)
+    @example(wakeup=[b"", _EMPTY_PACKET, _EMPTY_PACKET], limit=0)
+    def test_limit_stops_pulling(self, wakeup, limit):
+        """Datagrams are taken only until the accepted records reach
+        ``limit``: the reader's room early stop."""
+        stop = len(wakeup)
+        records = 0
+        for i, data in enumerate(wakeup):
+            try:
+                records += len(decode_packet(data))
+            except NetFlowDecodeError:
+                continue
+            if records >= limit:
+                stop = i + 1
+                break
+        pulled = []
+
+        def source():
+            for data in wakeup:
+                pulled.append(data)
+                yield data
+
+        with mock.patch.object(netflow, "HAVE_NUMPY", False):
+            ids, vals, malformed = decode_columns(source(), limit)
+        assert pulled == wakeup[:stop]
+        assert (ids, vals, malformed) == _record_level(pulled)
+        assert _columns(pulled, limit) == (ids, vals, malformed)
